@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .census import cograph_classes
 from .cotree import decompose, leaf_paths, meet_path
 from .errors import NotIsomorphismError, NotOrderThreeError, TooLargeError
-from .graphs import Graph
+from .graphs import Graph, _embeddings
 
 __all__ = [
     "Permutation",
@@ -100,38 +100,14 @@ class Permutation:
 
 
 def automorphisms(g: Graph) -> list[Permutation]:
-    """All edge-preserving bijections, in lexicographic image order."""
+    """All edge-preserving bijections, in lexicographic image order.
+
+    These are the induced embeddings of g into itself, enumerated by the
+    graph search engine.
+    """
     if g.n > 10:
         raise TooLargeError(f"automorphism enumeration limited to 10 vertices, got {g.n}")
-    verts = g.vertices
-    out: list[Permutation] = []
-    assigned: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(v: str, w: str) -> bool:
-        if g.degree(v) != g.degree(w):
-            return False
-        return all(
-            g.has_edge(v, q) == g.has_edge(w, qi) for q, qi in assigned.items()
-        )
-
-    def extend(i: int) -> None:
-        if i == len(verts):
-            out.append(Permutation.from_dict(assigned))
-            return
-        v = verts[i]
-        for w in verts:
-            if w in used:
-                continue
-            if consistent(v, w):
-                assigned[v] = w
-                used.add(w)
-                extend(i + 1)
-                del assigned[v]
-                used.remove(w)
-
-    extend(0)
-    return out
+    return [Permutation.from_dict(f) for f in _embeddings(g, g, {})]
 
 
 def _is_automorphism(g: Graph, f: Permutation) -> bool:

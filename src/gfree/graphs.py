@@ -1,10 +1,19 @@
-"""Finite simple graphs with named vertices, plus brute-force search oracles.
+"""Finite simple graphs with named vertices, and induced-subgraph search.
 
 Graphs are immutable values: every operation returns a new graph.  Vertex
 identity is an opaque string; operations that mint vertices use the
 deterministic scheme "g0", "g1", ... so outputs are reproducible byte for
-byte.  All searches iterate vertices in declared order and return the first
-witness found, which makes every oracle deterministic.
+byte.
+
+One search engine serves induced embeddings, freeness, isomorphism and (in
+automorphism.py) automorphism enumeration.  It works on positional
+bitmasks: each graph lazily caches its vertex positions and one adjacency
+int per vertex, and a pattern vertex's candidates are an intersection of
+host masks.  The search is iterative, so its depth is not bounded by the
+interpreter's recursion limit.  Pattern vertices are assigned in declared
+order and candidates tried in the host's declared order, so the witness is
+the first one in declared order, which makes every search deterministic.
+Degrees come from int.bit_count, which needs Python 3.10 or newer.
 """
 
 from __future__ import annotations
@@ -72,6 +81,18 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
+
+    @cached_property
+    def _masks(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Vertex -> declared position, and per position its neighbours as
+        an int whose bit i stands for vertices[i]."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj = [0] * len(index)
+        for u, v in self.edges:
+            i, j = index[u], index[v]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return index, tuple(adj)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._adj
@@ -288,10 +309,92 @@ def _check_partial(pattern: Graph, host: Graph, partial: Mapping[str, str]) -> N
     if len(set(dsts)) != len(dsts):
         raise BadPartialError("partial map is not injective")
     for u, v in partial.items():
-        if not pattern.has_vertex(u):
+        if u not in pattern._masks[0]:
             raise BadPartialError(f"partial maps unknown pattern vertex {u!r}")
-        if not host.has_vertex(v):
+        if v not in host._masks[0]:
             raise BadPartialError(f"partial maps to unknown host vertex {v!r}")
+
+
+def _embeddings(
+    pattern: Graph, host: Graph, partial: Mapping[str, str]
+) -> Iterator[dict[str, str]]:
+    """Every induced embedding of pattern into host extending partial.
+
+    Free pattern vertices are assigned in declared order.  Each one's
+    candidates are the host positions whose degree and co-degree leave room
+    for it, minus the used ones, intersected with the adjacency mask (or its
+    complement) of every host vertex already assigned.  Candidates are taken
+    lowest bit first, i.e. in the host's declared order, so embeddings come
+    out in lexicographic order of their images.  The search keeps the
+    untried candidates of every depth on an explicit stack.
+    """
+    pindex, padj = pattern._masks
+    hindex, hadj = host._masks
+    slack = host.n - pattern.n
+    by_degree: dict[int, int] = {}
+    for j, row in enumerate(hadj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << j
+    # fits[p]: host positions whose degree and co-degree leave room for p
+    fits_of: dict[int, int] = {}
+    fits = []
+    for row in padj:
+        d = row.bit_count()
+        f = fits_of.get(d)
+        if f is None:
+            f = 0
+            for e, m in by_degree.items():
+                if d <= e <= d + slack:
+                    f |= m
+            fits_of[d] = f
+        fits.append(f)
+
+    pairs = [(pindex[u], hindex[v]) for u, v in partial.items()]
+    used = 0
+    # The fixed part must itself be consistent.
+    for p, h in pairs:
+        if not fits[p] >> h & 1:
+            return
+        for q, k in pairs:
+            if q != p and (padj[p] >> q & 1) != (hadj[h] >> k & 1):
+                return
+        used |= 1 << h
+
+    def candidates(p: int, used: int) -> int:
+        cand = fits[p] & ~used
+        row = padj[p]
+        for q, h in pairs:
+            if not cand:
+                break
+            cand &= hadj[h] if row >> q & 1 else ~hadj[h]
+        return cand
+
+    pnames, hnames = pattern.vertices, host.vertices
+    order = [pindex[v] for v in pnames if v not in partial]
+    if not order:
+        yield {pnames[p]: hnames[h] for p, h in pairs}
+        return
+    last = len(order) - 1
+    rest = [0] * len(order)  # untried candidates per depth
+    depth = 0
+    cand = candidates(order[0], used)
+    while True:
+        if cand:
+            low = cand & -cand
+            rest[depth] = cand ^ low
+            pairs.append((order[depth], low.bit_length() - 1))
+            used |= low
+            if depth < last:
+                depth += 1
+                cand = candidates(order[depth], used)
+                continue
+            yield {pnames[p]: hnames[h] for p, h in pairs}
+        elif depth:
+            depth -= 1
+        else:
+            return
+        used ^= 1 << pairs.pop()[1]
+        cand = rest[depth]
 
 
 def find_induced_embedding(
@@ -311,50 +414,8 @@ def find_induced_embedding(
     _check_partial(pattern, host, partial)
     if pattern.n > host.n:
         return None
-
-    order = [v for v in pattern.vertices if v not in partial]
-    assigned: dict[str, str] = dict(partial)
-    used: set[str] = set(assigned.values())
-
-    def consistent(pv: str, hv: str) -> bool:
-        if host.degree(hv) < pattern.degree(pv):
-            return False
-        if (host.n - 1 - host.degree(hv)) < (pattern.n - 1 - pattern.degree(pv)):
-            return False
-        for qv, qh in assigned.items():
-            if pattern.has_edge(pv, qv) != host.has_edge(hv, qh):
-                return False
-        return True
-
-    # The fixed part must itself be consistent.
-    for pv, hv in partial.items():
-        for qv, qh in assigned.items():
-            if qv != pv and pattern.has_edge(pv, qv) != host.has_edge(hv, qh):
-                return None
-        if host.degree(hv) < pattern.degree(pv):
-            return None
-        if (host.n - 1 - host.degree(hv)) < (pattern.n - 1 - pattern.degree(pv)):
-            return None
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        pv = order[i]
-        for hv in host.vertices:
-            if hv in used:
-                continue
-            if consistent(pv, hv):
-                assigned[pv] = hv
-                used.add(hv)
-                if extend(i + 1):
-                    return True
-                del assigned[pv]
-                used.remove(hv)
-        return False
-
-    if extend(0):
-        return VertexMap.from_dict(assigned)
-    return None
+    found = next(_embeddings(pattern, host, partial), None)
+    return None if found is None else VertexMap.from_dict(found)
 
 
 def is_free(g: Graph, forbidden: Graph) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -20,6 +21,7 @@ from gfree import (
     cotree_shapes,
     cycle_graph,
     decompose,
+    graph_classes,
     make_graph,
     normalize,
     path_graph,
@@ -69,19 +71,14 @@ def test_automorphism_counts() -> None:
 
 
 def test_automorphisms_against_permutation_filter() -> None:
-    for n in range(1, 5):
-        for g in cograph_classes(n) if n > 1 else [make_graph(["a"], [])]:
-            brute = 0
+    for n in range(1, 7):
+        for g in graph_classes(n):
+            brute = []
             for image in permutations(g.vertices):
-                p = dict(zip(g.vertices, image))
-                if all(
-                    g.has_edge(p[u], p[v]) == g.has_edge(u, v)
-                    for u in g.vertices
-                    for v in g.vertices
-                    if u < v
-                ):
-                    brute += 1
-            assert len(automorphisms(g)) == brute
+                p = Permutation.from_dict(dict(zip(g.vertices, image)))
+                if _is_automorphism(g, p):
+                    brute.append(p.pairs)
+            assert [p.pairs for p in automorphisms(g)] == brute
 
 
 def test_automorphisms_are_valid_and_distinct() -> None:
@@ -203,6 +200,14 @@ def test_check_no_z3_small() -> None:
     assert report.offenders == ()
     assert dict(report.examined)[4] == 10
     assert report.total == 17
+
+
+def test_automorphism_group_orders_of_cographs_up_to_7() -> None:
+    orders = Counter(len(automorphisms(g)) for n in range(1, 8) for g in cograph_classes(n))
+    assert sorted(orders.items()) == [
+        (1, 1), (2, 12), (4, 40), (6, 10), (8, 46), (12, 52), (16, 26), (24, 26),
+        (36, 8), (48, 36), (72, 6), (120, 6), (144, 6), (240, 6), (720, 4), (5040, 2),
+    ]
 
 
 def test_check_no_z3_trivial() -> None:

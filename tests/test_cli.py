@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
-from gfree import format_graph, make_graph, parse_graph, path_graph
+from gfree import NoZ3Report, cycle_graph, format_graph, make_graph, parse_graph, path_graph
 from gfree.cli import run_command
 
 P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
@@ -192,6 +193,34 @@ def test_no_z3(tmp_path: Path) -> None:
     payload = json.loads(run_command(["no-z3", "--max-n", "3", "--json"]).stdout)
     assert payload["stats"]["examined"] == {"1": 1, "2": 2, "3": 4}
     assert payload["stats"]["total"] == 7
+
+
+def test_no_z3_offender_text_ends_in_newline(monkeypatch) -> None:
+    report = NoZ3Report(3, ((3, 4),), (cycle_graph(3),))
+    monkeypatch.setattr("gfree.cli.check_no_z3", lambda max_n: report)
+    res = run_command(["no-z3", "--max-n", "3"])
+    assert res.exit_code == 1
+    assert res.stdout == "order-3 automorphism group found on:\n" + format_graph(cycle_graph(3))
+    assert res.stdout.endswith("\n")
+
+
+def test_iso_of_long_paths_runs_without_recursion(tmp_path: Path) -> None:
+    n = 1200
+    p = [f"p{i}" for i in range(n)]
+    q = [f"q{i}" for i in range(n)]
+    first = make_graph(p, list(zip(p, p[1:])))
+    second = make_graph(random.Random(5).sample(q, n), list(zip(q, q[1:])))
+    res = run_command([
+        "iso",
+        _write(tmp_path, "p.graph", format_graph(first)),
+        _write(tmp_path, "q.graph", format_graph(second)),
+        "--json",
+    ])
+    assert res.exit_code == 0
+    witness = json.loads(res.stdout)["witness"]
+    assert sorted(witness) == sorted(p)
+    assert sorted(witness.values()) == sorted(q)
+    assert all(second.has_edge(witness[u], witness[v]) for u, v in first.edges)
 
 
 def test_missing_file_is_exit_2(tmp_path: Path) -> None:

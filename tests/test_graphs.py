@@ -30,19 +30,60 @@ from gfree import (
 )
 
 
-def _subset_embedding_oracle(pattern: Graph, host: Graph) -> bool:
-    """Exhaustive check: some vertex subset of host induces pattern."""
-    if pattern.n > host.n:
-        return False
-    for subset in combinations(host.vertices, pattern.n):
-        for image in permutations(subset):
-            assign = dict(zip(pattern.vertices, image))
-            if all(
-                host.has_edge(assign[u], assign[v]) == pattern.has_edge(u, v)
-                for u, v in combinations(pattern.vertices, 2)
-            ):
-                return True
-    return False
+def _first_embedding_oracle(
+    pattern: Graph, host: Graph, partial: dict[str, str]
+) -> VertexMap | None:
+    """First induced embedding extending partial, trying the images of the
+    free pattern vertices (in declared order) as permutations of the free
+    host vertices in declared order."""
+    free = [v for v in pattern.vertices if v not in partial]
+    targets = [v for v in host.vertices if v not in partial.values()]
+    for image in permutations(targets, len(free)):
+        assign = {**partial, **dict(zip(free, image))}
+        if all(
+            host.has_edge(assign[u], assign[v]) == pattern.has_edge(u, v)
+            for u, v in combinations(pattern.vertices, 2)
+        ):
+            return VertexMap.from_dict(assign)
+    return None
+
+
+def _random_graph(rng: random.Random, n: int, prefix: str) -> Graph:
+    names = [f"{prefix}{i}" for i in rng.sample(range(n), n)]
+    density = rng.random()
+    return make_graph(names, [e for e in combinations(names, 2) if rng.random() < density])
+
+
+def _random_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        pattern = _random_graph(rng, rng.randint(1, 5), "p")
+        host = _random_graph(rng, rng.randint(1, 8), "h")
+        partial = {}
+        if i % 2:
+            partial = {rng.choice(pattern.vertices): rng.choice(host.vertices)}
+        yield pattern, host, partial
+
+
+def test_find_induced_embedding_is_first_in_declared_order() -> None:
+    for pattern, host, partial in _random_pairs(20261018, 400):
+        want = _first_embedding_oracle(pattern, host, partial)
+        assert find_induced_embedding(pattern, host, partial) == want
+
+
+def test_find_induced_embedding_existence_matches_networkx() -> None:
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g: Graph):
+        out = nx.Graph()
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from(g.edges)
+        return out
+
+    for pattern, host, _ in _random_pairs(20261019, 300):
+        expected = GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_isomorphic()
+        assert (find_induced_embedding(pattern, host) is not None) == expected
 
 
 def test_make_graph_basic() -> None:
@@ -250,8 +291,8 @@ def test_find_induced_embedding_agrees_with_subset_oracle() -> None:
     hosts = list(graph_classes(5)) + [cycle_graph(6), path_graph(7)]
     for pattern in patterns:
         for host in hosts:
-            got = find_induced_embedding(pattern, host, VertexMap(())) is not None
-            assert got == _subset_embedding_oracle(pattern, host)
+            got = find_induced_embedding(pattern, host, VertexMap(()))
+            assert got == _first_embedding_oracle(pattern, host, {})
 
 
 def test_find_induced_embedding_preserves_non_edges() -> None:
