@@ -9,13 +9,11 @@ check_no_z3 confirms the exclusion exhaustively on small cographs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
 
 from .census import cograph_classes
 from .cotree import decompose, leaf_paths, meet_path
 from .errors import NotIsomorphismError, NotOrderThreeError, TooLargeError
-from .graphs import Graph, _embeddings
+from .graphs import Graph, VertexMap, _embeddings
 
 __all__ = [
     "Permutation",
@@ -27,46 +25,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Permutation:
+class Permutation(VertexMap):
     """Bijection on a fixed vertex set, stored as sorted (source, image) pairs."""
-
-    pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         srcs = {p[0] for p in self.pairs}
         dsts = {p[1] for p in self.pairs}
         if len(srcs) != len(self.pairs) or srcs != dsts:
             raise NotIsomorphismError("not a bijection on its own domain")
-
-    @staticmethod
-    def from_dict(mapping: Mapping[str, str]) -> "Permutation":
-        return Permutation(tuple(sorted(mapping.items())))
-
-    @staticmethod
-    def identity(vertices: Iterable[str]) -> "Permutation":
-        return Permutation(tuple(sorted((v, v) for v in vertices)))
-
-    @cached_property
-    def _dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def __getitem__(self, v: str) -> str:
-        return self._dict[v]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self._dict)
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self._dict)
-
-    def after(self, other: "Permutation") -> "Permutation":
-        return Permutation(
-            tuple(sorted((v, self._dict[w]) for v, w in other.pairs))
-        )
-
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(sorted((w, v) for v, w in self.pairs)))
 
     @property
     def is_identity(self) -> bool:
@@ -85,13 +51,13 @@ class Permutation:
         seen: set[str] = set()
         out: list[tuple[str, ...]] = []
         for v, _ in self.pairs:
-            if v in seen or self._dict[v] == v:
+            if v in seen or self[v] == v:
                 continue
             cyc = [v]
-            w = self._dict[v]
+            w = self[v]
             while w != v:
                 cyc.append(w)
-                w = self._dict[w]
+                w = self[w]
             seen.update(cyc)
             pivot = cyc.index(min(cyc))
             out.append(tuple(cyc[pivot:] + cyc[:pivot]))

@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 = success or affirmative answer, 1 = well-formed negative
-answer, 2 = input error.  Output is deterministic: identical inputs give
-byte-identical output.  `--json` wraps every report in an object with
-fields command, inputs, verdict, optional witness, and stats.
+answer, 2 = input error (unreadable, non-UTF-8 or malformed input), 3 =
+internal error, printed as `internal error: <Type>: <message>`.  Output is
+deterministic: identical inputs give byte-identical output.  `--json` wraps
+every report in an object with fields command, inputs, verdict, optional
+witness, and stats; an error becomes an object with verdict "error" and its
+text in message.
+
+Every handler returns one Report, and _render turns it into text or JSON.
 """
 
 from __future__ import annotations
@@ -11,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from .automorphism import automorphisms, check_no_z3
 from .cotree import (
+    _path_str,
     decompose,
     interpret_tree_from_graph,
     least_module,
@@ -31,7 +37,7 @@ from .embedding import (
     delete_vertex_cotree,
     label_meet_embed,
 )
-from .errors import GfreeError, NotCographError
+from .errors import FormatError, GfreeError, NotCographError
 from .gadget import decode_psi, encode_phi, gadget_params
 from .graphs import Graph, complement, is_isomorphic
 from .textio import (
@@ -52,237 +58,177 @@ class CommandResult:
     stdout: str
 
 
+@dataclass(frozen=True)
+class Report:
+    """What a command found: the exit code, the JSON verdict, the text
+    output, and the JSON witness (omitted when None) and stats."""
+
+    exit_code: int
+    verdict: str
+    text: str
+    witness: object = None
+    stats: dict = field(default_factory=dict)
+
+
+# Parsed arguments that are not inputs of the command's result.
+_NOT_INPUTS = {"command", "func", "json", "sidecar"}
+
+
+def _render(args: argparse.Namespace, report: Report, **fields) -> CommandResult:
+    """The report's text, or under --json its sorted-key JSON object; fields
+    add to or override the object's top-level keys."""
+    if not args.json:
+        return CommandResult(report.exit_code, report.text)
+    doc = {
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+        "verdict": report.verdict,
+        "stats": report.stats,
+        **fields,
+    }
+    if report.witness is not None:
+        doc["witness"] = report.witness
+    return CommandResult(report.exit_code, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _error(args: argparse.Namespace, exit_code: int, label: str, message: str) -> CommandResult:
+    report = Report(exit_code, "error", f"{label}: {message}\n")
+    return _render(args, report, inputs={}, message=message)
+
+
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
 
 
-def _payload(
-    args: argparse.Namespace,
-    verdict: str,
-    witness=None,
-    stats: dict | None = None,
-    inputs: dict | None = None,
-) -> str:
-    doc = {
-        "command": args.command,
-        "inputs": inputs or {},
-        "verdict": verdict,
-        "stats": stats or {},
-    }
-    if witness is not None:
-        doc["witness"] = witness
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _graph_stats(g: Graph) -> dict:
     return {"vertices": g.n, "edges": g.m}
 
 
-def _path_str(path: tuple[int, ...]) -> str:
-    return "/" + "/".join(str(i) for i in path) if path else "/"
-
-
-def _not_cograph(args, exc: NotCographError, inputs: dict) -> CommandResult:
-    witness = " ".join(exc.witness)
-    if args.json:
-        return CommandResult(
-            1, _payload(args, "not a cograph", list(exc.witness), inputs=inputs)
-        )
-    return CommandResult(1, f"not a cograph; witness: {witness}\n")
-
-
-def _cmd_recognize(args) -> CommandResult:
-    inputs = {"graph": args.graph}
-    g = _load_graph(args.graph)
-    try:
-        decompose(g)
-    except NotCographError as exc:
-        return _not_cograph(args, exc, inputs)
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "cograph", stats=_graph_stats(g), inputs=inputs)
-        )
-    return CommandResult(0, "cograph\n")
-
-
-def _cmd_decompose(args) -> CommandResult:
-    inputs = {"graph": args.graph}
+def _cograph_command(args, print_tree: bool) -> Report:
     g = _load_graph(args.graph)
     try:
         tree = decompose(g)
     except NotCographError as exc:
-        return _not_cograph(args, exc, inputs)
+        witness = list(exc.witness)
+        return Report(1, "not a cograph", f"not a cograph; witness: {' '.join(witness)}\n", witness)
+    if not print_tree:
+        return Report(0, "cograph", "cograph\n", stats=_graph_stats(g))
     text = format_cotree(tree)
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "cograph", text, _graph_stats(g), inputs)
-        )
-    return CommandResult(0, text + "\n")
+    return Report(0, "cograph", text + "\n", text, _graph_stats(g))
 
 
-def _cmd_realize(args) -> CommandResult:
-    inputs = {"cotree": args.cotree}
-    tree = parse_cotree(_read(args.cotree))
-    g = realize(tree)
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "realized", format_graph(g), _graph_stats(g), inputs)
-        )
-    return CommandResult(0, format_graph(g))
+def _cmd_recognize(args) -> Report:
+    return _cograph_command(args, print_tree=False)
 
 
-def _cmd_validate(args) -> CommandResult:
-    inputs = {"cotree": args.cotree}
-    tree = parse_cotree(_read(args.cotree), strict=False)
-    report = validate_cotree(tree)
+def _cmd_decompose(args) -> Report:
+    return _cograph_command(args, print_tree=True)
+
+
+def _cmd_realize(args) -> Report:
+    g = realize(parse_cotree(_read(args.cotree)))
+    return Report(0, "realized", format_graph(g), format_graph(g), _graph_stats(g))
+
+
+def _cmd_validate(args) -> Report:
+    report = validate_cotree(parse_cotree(_read(args.cotree), strict=False))
     if report.ok:
-        if args.json:
-            return CommandResult(0, _payload(args, "valid", inputs=inputs))
-        return CommandResult(0, "valid\n")
-    if args.json:
-        witness = [
-            {"path": _path_str(v.path), "message": v.message}
-            for v in report.violations
-        ]
-        return CommandResult(
-            1,
-            _payload(
-                args,
-                "invalid",
-                witness,
-                {"violations": len(report.violations)},
-                inputs,
-            ),
-        )
-    lines = [
-        f"violation at {_path_str(v.path)}: {v.message}" for v in report.violations
-    ]
-    return CommandResult(1, "\n".join(lines) + "\n")
+        return Report(0, "valid", "valid\n")
+    violations = [(_path_str(v.path), v.message) for v in report.violations]
+    return Report(
+        1,
+        "invalid",
+        "".join(f"violation at {path}: {message}\n" for path, message in violations),
+        [{"path": path, "message": message} for path, message in violations],
+        {"violations": len(violations)},
+    )
 
 
-def _cmd_iso(args) -> CommandResult:
-    inputs = {"first": args.first, "second": args.second}
-    g = _load_graph(args.first)
-    h = _load_graph(args.second)
-    found = is_isomorphic(g, h)
+def _cmd_iso(args) -> Report:
+    found = is_isomorphic(_load_graph(args.first), _load_graph(args.second))
     if found is None:
-        if args.json:
-            return CommandResult(1, _payload(args, "not isomorphic", inputs=inputs))
-        return CommandResult(1, "not isomorphic\n")
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "isomorphic", found.as_dict(), inputs=inputs)
-        )
-    lines = ["isomorphic"] + [f"{u} -> {v}" for u, v in found.pairs]
-    return CommandResult(0, "\n".join(lines) + "\n")
+        return Report(1, "not isomorphic", "not isomorphic\n")
+    text = "".join(f"{u} -> {v}\n" for u, v in found.pairs)
+    return Report(0, "isomorphic", "isomorphic\n" + text, found.as_dict())
 
 
-def _cmd_embed(args) -> CommandResult:
-    inputs = {"pattern": args.pattern, "host": args.host}
+def _cmd_embed(args) -> Report:
     g = _load_graph(args.pattern)
     h = _load_graph(args.host)
     emb = label_meet_embed(decompose(g), decompose(h))
     if emb is None:
-        if args.json:
-            return CommandResult(1, _payload(args, "does not embed", inputs=inputs))
-        return CommandResult(1, "does not embed\n")
-    witness = [
-        {"from": _path_str(sp), "to": _path_str(tp)} for sp, tp in emb.pairs
-    ]
-    if args.json:
-        return CommandResult(0, _payload(args, "embeds", witness, inputs=inputs))
-    return CommandResult(0, "embeds\n")
+        return Report(1, "does not embed", "does not embed\n")
+    witness = [{"from": _path_str(sp), "to": _path_str(tp)} for sp, tp in emb.pairs]
+    return Report(0, "embeds", "embeds\n", witness)
 
 
-def _cmd_delete_leaf(args) -> CommandResult:
-    inputs = {"cotree": args.cotree, "leaf": args.leaf}
+def _tree_report(verdict: str, tree) -> Report:
+    text = format_cotree(tree)
+    return Report(0, verdict, text + "\n", text)
+
+
+def _cmd_delete_leaf(args) -> Report:
     tree = parse_cotree(_read(args.cotree))
-    result = delete_vertex_cotree(tree, args.leaf)
-    text = format_cotree(result)
-    if args.json:
-        return CommandResult(0, _payload(args, "deleted", text, inputs=inputs))
-    return CommandResult(0, text + "\n")
+    return _tree_report("deleted", delete_vertex_cotree(tree, args.leaf))
 
 
-def _module_command(args, strong: bool) -> CommandResult:
-    inputs = {"graph": args.graph, "u": args.u, "v": args.v}
+def _module_command(args, strong: bool) -> Report:
     g = _load_graph(args.graph)
     op = least_strong_module if strong else least_module
     members = sorted(op(g, args.u, args.v).members)
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "ok", members, {"size": len(members)}, inputs)
-        )
-    return CommandResult(0, " ".join(members) + "\n")
+    return Report(0, "ok", " ".join(members) + "\n", members, {"size": len(members)})
 
 
-def _cmd_module(args) -> CommandResult:
+def _cmd_module(args) -> Report:
     return _module_command(args, strong=False)
 
 
-def _cmd_strong_module(args) -> CommandResult:
+def _cmd_strong_module(args) -> Report:
     return _module_command(args, strong=True)
 
 
-def _cmd_interpret_tree(args) -> CommandResult:
-    inputs = {"graph": args.graph}
-    g = _load_graph(args.graph)
-    tree = interpret_tree_from_graph(g)
-    text = format_cotree(tree)
-    if args.json:
-        return CommandResult(0, _payload(args, "ok", text, inputs=inputs))
-    return CommandResult(0, text + "\n")
+def _cmd_interpret_tree(args) -> Report:
+    return _tree_report("ok", interpret_tree_from_graph(_load_graph(args.graph)))
 
 
-def _cmd_tree_lift(args) -> CommandResult:
-    inputs = {"tree": args.tree, "k": args.k}
-    plain = parse_plain_tree(_read(args.tree))
-    tree = tree_lift(plain, args.k)
-    text = format_cotree(tree)
-    if args.json:
-        return CommandResult(0, _payload(args, "ok", text, inputs=inputs))
-    return CommandResult(0, text + "\n")
+def _cmd_tree_lift(args) -> Report:
+    return _tree_report("ok", tree_lift(parse_plain_tree(_read(args.tree)), args.k))
 
 
-def _cmd_antichain(args) -> CommandResult:
-    inputs = {"forbidden": args.forbidden, "indices": args.indices}
+def _graph_report(verdict: str, g: Graph, stats: dict) -> Report:
+    return Report(0, verdict, format_graph(g), format_graph(g), stats)
+
+
+def _cmd_antichain(args) -> Report:
     forbidden = _load_graph(args.forbidden)
     g = antichain_graph(forbidden, args.indices)
     complemented, m = antichain_params(forbidden)
-    stats = dict(_graph_stats(g), complemented=complemented, m=m)
-    if args.json:
-        return CommandResult(0, _payload(args, "ok", format_graph(g), stats, inputs))
-    return CommandResult(0, format_graph(g))
+    return _graph_report("ok", g, dict(_graph_stats(g), complemented=complemented, m=m))
 
 
-def _cmd_types(args) -> CommandResult:
-    inputs = {"base": args.base, "forbidden": args.forbidden, "k": args.k}
+def _cmd_types(args) -> Report:
     g = _load_graph(args.base)
     forbidden = _load_graph(args.forbidden)
     target = ConstantedGraph(g, g.vertices)
     formulas = [phi.render() for phi in type_fragment(target, forbidden, args.k)]
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "ok", formulas, {"formulas": len(formulas)}, inputs)
-        )
-    return CommandResult(0, "\n".join(formulas) + "\n")
+    return Report(0, "ok", "\n".join(formulas) + "\n", formulas, {"formulas": len(formulas)})
 
 
-def _cmd_encode(args) -> CommandResult:
-    inputs = {"forbidden": args.forbidden, "input": args.input}
+def _cmd_encode(args) -> Report:
     forbidden = _load_graph(args.forbidden)
     h = _load_graph(args.input)
     params = gadget_params(forbidden)
     enc = encode_phi(h, params)
     if args.sidecar:
-        lines = [f"hub {v} {hub}" for v, hub in enc.hub_of]
-        Path(args.sidecar).write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+        lines = [f"hub {v} {hub}\n" for v, hub in enc.hub_of]
+        Path(args.sidecar).write_text("".join(lines), encoding="utf-8")
     out = enc.deliverable
     stats = dict(
         _graph_stats(out),
@@ -292,87 +238,53 @@ def _cmd_encode(args) -> CommandResult:
         non_edge_cycle=params.non_edge_cycle,
         path_len=params.path_len,
     )
-    if args.json:
-        return CommandResult(0, _payload(args, "encoded", format_graph(out), stats, inputs))
-    return CommandResult(0, format_graph(out))
+    return _graph_report("encoded", out, stats)
 
 
-def _cmd_decode(args) -> CommandResult:
-    inputs = {"forbidden": args.forbidden, "encoded": args.encoded}
+def _cmd_decode(args) -> Report:
     forbidden = _load_graph(args.forbidden)
     e = _load_graph(args.encoded)
     params = gadget_params(forbidden)
-    pre = complement(e) if params.complemented else e
-    g = decode_psi(pre, params)
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "decoded", format_graph(g), _graph_stats(g), inputs)
-        )
-    return CommandResult(0, format_graph(g))
+    g = decode_psi(complement(e) if params.complemented else e, params)
+    return _graph_report("decoded", g, _graph_stats(g))
 
 
-def _cmd_roundtrip(args) -> CommandResult:
-    inputs = {"forbidden": args.forbidden, "input": args.input}
+def _cmd_roundtrip(args) -> Report:
     forbidden = _load_graph(args.forbidden)
     h = _load_graph(args.input)
     params = gadget_params(forbidden)
     enc = encode_phi(h, params)
-    decoded = decode_psi(enc.graph, params)
-    found = is_isomorphic(h, decoded)
+    found = is_isomorphic(h, decode_psi(enc.graph, params))
     stats = dict(_graph_stats(enc.deliverable), complemented=params.complemented)
     if found is None:
-        if args.json:
-            return CommandResult(
-                1, _payload(args, "decoded graph differs", stats=stats, inputs=inputs)
-            )
-        return CommandResult(1, "decoded graph is NOT isomorphic to the input\n")
-    if args.json:
-        return CommandResult(
-            0, _payload(args, "roundtrip ok", found.as_dict(), stats, inputs)
-        )
-    return CommandResult(0, "decoded graph isomorphic to the input\n")
+        text = "decoded graph is NOT isomorphic to the input\n"
+        return Report(1, "decoded graph differs", text, stats=stats)
+    text = "decoded graph isomorphic to the input\n"
+    return Report(0, "roundtrip ok", text, found.as_dict(), stats)
 
 
-def _cmd_aut(args) -> CommandResult:
-    inputs = {"graph": args.graph}
-    g = _load_graph(args.graph)
-    perms = automorphisms(g)
-    if args.json:
-        witness = [p.as_dict() for p in perms]
-        return CommandResult(
-            0, _payload(args, "ok", witness, {"count": len(perms)}, inputs)
-        )
-    lines = [f"count {len(perms)}"]
+def _cmd_aut(args) -> Report:
+    perms = automorphisms(_load_graph(args.graph))
+    lines = [f"count {len(perms)}\n"]
     for p in perms:
-        cyc = p.cycles()
-        lines.append(
-            "id" if not cyc else "".join("(" + " ".join(c) + ")" for c in cyc)
-        )
-    return CommandResult(0, "\n".join(lines) + "\n")
+        cycles = "".join("(" + " ".join(c) + ")" for c in p.cycles())
+        lines.append((cycles or "id") + "\n")
+    return Report(0, "ok", "".join(lines), [p.as_dict() for p in perms], {"count": len(perms)})
 
 
-def _cmd_no_z3(args) -> CommandResult:
-    inputs = {"max_n": args.max_n}
+def _cmd_no_z3(args) -> Report:
     report = check_no_z3(args.max_n)
     stats = {
         "examined": {str(n): count for n, count in report.examined},
         "total": report.total,
     }
     if report.ok:
-        if args.json:
-            return CommandResult(
-                0, _payload(args, "no order-3 automorphism group", stats=stats, inputs=inputs)
-            )
-        lines = [f"n={n}: {count} cograph(s) examined" for n, count in report.examined]
-        lines.append("no order-3 automorphism group found")
-        return CommandResult(0, "\n".join(lines) + "\n")
+        lines = [f"n={n}: {count} cograph(s) examined\n" for n, count in report.examined]
+        text = "".join(lines) + "no order-3 automorphism group found\n"
+        return Report(0, "no order-3 automorphism group", text, stats=stats)
     witness = [format_graph(g) for g in report.offenders]
-    if args.json:
-        return CommandResult(1, _payload(args, "offenders found", witness, stats, inputs))
-    return CommandResult(
-        1,
-        "\n".join(["order-3 automorphism group found on:"] + witness),
-    )
+    text = "\n".join(["order-3 automorphism group found on:"] + witness)
+    return Report(1, "offenders found", text, witness, stats)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -472,20 +384,12 @@ def run_command(argv: list[str]) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, "")
     try:
-        return args.func(args)
-    except GfreeError as exc:
-        if getattr(args, "json", False):
-            doc = {
-                "command": args.command,
-                "inputs": {},
-                "verdict": "error",
-                "message": str(exc),
-                "stats": {},
-            }
-            return CommandResult(2, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        return CommandResult(2, f"error: {exc}\n")
-    except OSError as exc:
-        return CommandResult(2, f"error: {exc}\n")
+        return _render(args, args.func(args))
+    except (GfreeError, OSError) as exc:
+        return _error(args, 2, "error", str(exc))
+    except Exception as exc:
+        # A crash must never read as a verdict: exit 1 means "no".
+        return _error(args, 3, "internal error", f"{type(exc).__name__}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

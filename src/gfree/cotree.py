@@ -344,11 +344,7 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
 def _module_masks(g: Graph) -> tuple[int, ...]:
     """Bitmasks of all nonempty modules, ascending."""
     n = g.n
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    nbr = [0] * n
-    for u, v in g.edges:
-        nbr[idx[u]] |= 1 << idx[v]
-        nbr[idx[v]] |= 1 << idx[u]
+    nbr = g._masks[1]
     out = []
     for mask in range(1, 1 << n):
         for w in range(n):
@@ -402,15 +398,11 @@ def module_closure_oracle(g: Graph, u: str, v: str, strong: bool) -> ModuleSet:
     want = (1 << idx[u]) | (1 << idx[v])
     best = None
     for mask in _strong_module_masks(g):
-        if mask & want == want and (best is None or _popcount(mask) < _popcount(best)):
+        if mask & want == want and (best is None or mask.bit_count() < best.bit_count()):
             best = mask
     assert best is not None  # the full vertex set is always a strong module
     members = frozenset(x for x in g.vertices if best >> idx[x] & 1)
     return ModuleSet(members, "least-strong-module")
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def module_from_meets(g: Graph, u: str, v: str) -> frozenset[str]:

@@ -58,7 +58,6 @@ class TreeEmbedding:
     pairs sorted by source path."""
 
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    meet_labels_checked: bool = True
 
     def as_dict(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         return dict(self.pairs)

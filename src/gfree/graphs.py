@@ -126,13 +126,13 @@ class VertexMap:
         if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
             raise BadPartialError(f"vertex map is not injective: {self.pairs}")
 
-    @staticmethod
-    def from_dict(mapping: Mapping[str, str]) -> "VertexMap":
-        return VertexMap(tuple(sorted(mapping.items())))
+    @classmethod
+    def from_dict(cls, mapping: Mapping[str, str]) -> "VertexMap":
+        return cls(tuple(sorted(mapping.items())))
 
-    @staticmethod
-    def identity(vertices: Iterable[str]) -> "VertexMap":
-        return VertexMap(tuple(sorted((v, v) for v in vertices)))
+    @classmethod
+    def identity(cls, vertices: Iterable[str]) -> "VertexMap":
+        return cls(tuple(sorted((v, v) for v in vertices)))
 
     @cached_property
     def _dict(self) -> dict[str, str]:
@@ -156,11 +156,12 @@ class VertexMap:
         return frozenset(p[1] for p in self.pairs)
 
     def inverse(self) -> "VertexMap":
-        return VertexMap(tuple(sorted((b, a) for a, b in self.pairs)))
+        return type(self)(tuple(sorted((b, a) for a, b in self.pairs)))
 
     def after(self, other: "VertexMap") -> "VertexMap":
-        """Composite self∘other: apply other first, then self."""
-        return VertexMap(tuple(sorted((a, self._dict[b]) for a, b in other.pairs)))
+        """Composite self∘other: apply other first, then self, as a map of
+        self's class."""
+        return type(self)(tuple(sorted((a, self._dict[b]) for a, b in other.pairs)))
 
     def restrict(self, keep: Iterable[str]) -> "VertexMap":
         keepset = set(keep)
@@ -233,16 +234,14 @@ def combine(g: Graph, h: Graph, mode: str) -> Graph:
     """
     if mode not in ("disjoint", "join"):
         raise ValueError(f"combine mode must be 'disjoint' or 'join', got {mode!r}")
-    return labeled_chain_sum([g, h], [1 if mode == "join" else 0, 0], _pair=True)
+    parts = _disjointify([g, h], ["a.", "b."])
+    return labeled_chain_sum(parts, [1 if mode == "join" else 0, 0])
 
 
-def labeled_chain_sum(
-    parts: Sequence[Graph], labels: Sequence[int], _pair: bool = False
-) -> Graph:
+def labeled_chain_sum(parts: Sequence[Graph], labels: Sequence[int]) -> Graph:
     """Union of parts; all cross edges part_i x part_j (i < j) iff labels[i] = 1.
 
     Name collisions across parts are resolved by prefixing "p<i>."
-    ("a." / "b." when called through combine).
     """
     if len(parts) != len(labels):
         raise LengthMismatchError(
@@ -251,8 +250,7 @@ def labeled_chain_sum(
     for lab in labels:
         if lab not in (0, 1):
             raise ValueError(f"labels must be 0 or 1, got {lab!r}")
-    prefixes = ["a.", "b."] if _pair else [f"p{i}." for i in range(len(parts))]
-    disjoint = _disjointify(parts, prefixes)
+    disjoint = _disjointify(parts, [f"p{i}." for i in range(len(parts))])
     names = [v for p in disjoint for v in p.vertices]
     edges: list[tuple[str, str]] = [e for p in disjoint for e in p.edges]
     for i, j in itertools.combinations(range(len(disjoint)), 2):

@@ -261,3 +261,34 @@ def test_outputs_parse_back(tmp_path: Path) -> None:
     back = parse_graph(run_command(["realize", tree_file]).stdout)
     assert set(back.vertices) == set(g.vertices)
     assert back.m == g.m
+
+
+def test_non_utf8_input_is_exit_2(tmp_path: Path) -> None:
+    bad = tmp_path / "b.graph"
+    bad.write_bytes(b"\xff\n")
+    res = run_command(["recognize", str(bad)])
+    assert res.exit_code == 2
+    assert res.stdout.startswith("error: ") and "not UTF-8" in res.stdout
+
+
+def test_json_io_error_is_a_json_error_object(tmp_path: Path) -> None:
+    res = run_command(["recognize", "--json", str(tmp_path / "missing.graph")])
+    assert res.exit_code == 2
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "error"
+    assert payload["command"] == "recognize"
+    assert "No such file" in payload["message"]
+
+
+def test_unexpected_exception_is_exit_3_never_1(tmp_path: Path, monkeypatch) -> None:
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("gfree.cli._cmd_recognize", crash)
+    k2 = _write(tmp_path, "k2.graph", K2_TEXT)
+    res = run_command(["recognize", k2])
+    assert (res.exit_code, res.stdout) == (3, "internal error: RuntimeError: boom\n")
+    res = run_command(["recognize", k2, "--json"])
+    assert res.exit_code == 3
+    payload = json.loads(res.stdout)
+    assert (payload["verdict"], payload["message"]) == ("error", "RuntimeError: boom")

@@ -49,7 +49,6 @@ def test_label_meet_embed_examples() -> None:
 def test_label_meet_embed_witness_shape() -> None:
     emb = label_meet_embed(parse_cotree("(1 a b)"), parse_cotree("(1 x y z)"))
     assert emb is not None
-    assert emb.meet_labels_checked
     mapping = emb.as_dict()
     assert () in mapping
     assert len(mapping) == 3
