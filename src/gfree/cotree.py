@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from .errors import (
     BadSizeError,
@@ -31,8 +31,8 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    complement,
-    connected_components,
+    _bits,
+    _components,
     find_induced_embedding,
     induced_subgraph,
     make_graph,
@@ -201,11 +201,47 @@ def _path_str(path: tuple[int, ...]) -> str:
     return "/" + "/".join(str(i) for i in path) if path else "/"
 
 
-def _code(node: CotreeNode) -> bytes:
-    if isinstance(node, Leaf):
-        return b"2"
-    kids = sorted((_code(c) for c in node.children), reverse=True)
-    return str(node.label).encode("ascii") + b"(" + b"".join(kids) + b")"
+_T = TypeVar("_T")
+
+
+def _fold(t: CotreeNode, leaf: Callable[[Leaf], _T], inner: Callable[[Inner, list[_T]], _T]) -> _T:
+    """Postorder fold without recursion: leaf(node) at each leaf, and
+    inner(node, results of its children in order) at each internal node."""
+    done: list[_T] = []
+    stack: list[tuple[CotreeNode, bool]] = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Leaf):
+            done.append(leaf(node))
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+        else:
+            first = len(done) - len(node.children)
+            results = done[first:]
+            del done[first:]
+            done.append(inner(node, results))
+    return done[0]
+
+
+_Canon = tuple[CotreeNode, bytes, str]  # node, canonical code, least leaf name
+
+
+def _canon_leaf(leaf: Leaf) -> _Canon:
+    return leaf, b"2", leaf.name
+
+
+def _canon_inner(label: int, kids: list[_Canon]) -> _Canon:
+    """Inner node with its children in canonical order, from the children's
+    codes and least leaves, so no subtree is walked again."""
+    kids.sort(key=lambda k: k[2])
+    kids.sort(key=lambda k: k[1], reverse=True)
+    code = str(label).encode("ascii") + b"(" + b"".join(k[1] for k in kids) + b")"
+    return Inner(label, tuple(k[0] for k in kids)), code, min(k[2] for k in kids)
+
+
+def _canonical(t: CotreeNode) -> _Canon:
+    return _fold(t, _canon_leaf, lambda node, kids: _canon_inner(node.label, kids))
 
 
 def canonical_code(t: CotreeNode) -> bytes:
@@ -215,57 +251,61 @@ def canonical_code(t: CotreeNode) -> bytes:
     followed by the parenthesized child codes in sorted order.
     """
     ensure_valid(t)
-    return _code(t)
-
-
-def _min_leaf(node: CotreeNode) -> str:
-    if isinstance(node, Leaf):
-        return node.name
-    return min(_min_leaf(c) for c in node.children)
-
-
-def _inner(label: int, children: list[CotreeNode]) -> Inner:
-    kids = sorted(children, key=_min_leaf)
-    kids.sort(key=_code, reverse=True)
-    return Inner(label, tuple(kids))
+    return _canonical(t)[1]
 
 
 def normalize(t: CotreeNode) -> CotreeNode:
     """Re-sort all children into the canonical order."""
-    if isinstance(t, Leaf):
-        return t
-    return _inner(t.label, [normalize(c) for c in t.children])
+    return _canonical(t)[0]
 
 
 @lru_cache(maxsize=None)
 def decompose(g: Graph) -> CotreeNode:
     """Decomposition tree of g, or NotCograph with an induced-P4 witness.
 
-    Recursive split: single vertex -> leaf; disconnected -> 0-node over
-    components; complement disconnected -> 1-node over co-components.  A
-    graph on >= 2 vertices that is both connected and co-connected contains
-    an induced P4, which is returned as the witness.
+    Split: single vertex -> leaf; disconnected -> 0-node over components;
+    complement disconnected -> 1-node over co-components.  A graph on >= 2
+    vertices that is both connected and co-connected contains an induced
+    P4, which is returned as the witness.  The split runs on the adjacency
+    masks of g, depth first with an explicit stack, and builds a subgraph
+    only at such a prime part, to search it for the P4; parts are visited
+    in the order of their first declared vertex, so the witness is the
+    first P4 of the first prime part.
     """
     if g.n == 0:
         raise EmptyGraphError("cannot decompose the empty graph")
-    return _decompose(g)
-
-
-def _decompose(g: Graph) -> CotreeNode:
-    if g.n == 1:
-        return Leaf(g.vertices[0])
-    comps = connected_components(g)
-    if len(comps) > 1:
-        return _inner(0, [_decompose(induced_subgraph(g, c)) for c in comps])
-    cocomps = connected_components(complement(g))
-    if len(cocomps) > 1:
-        return _inner(1, [_decompose(induced_subgraph(g, c)) for c in cocomps])
-    p4 = path_graph(4)
-    emb = find_induced_embedding(p4, g)
-    if emb is None:  # pragma: no cover - impossible for connected co-connected graphs
-        raise NotCographError("not a cograph; no P4 witness found", ())
-    witness = tuple(emb[v] for v in p4.vertices)
-    raise NotCographError("not a cograph", witness)
+    names = g.vertices
+    rows = g._masks[1]
+    full = (1 << g.n) - 1
+    co_rows = [full & ~row & ~(1 << i) for i, row in enumerate(rows)]
+    preorder: list[tuple[int, int, int]] = []  # (mask, label or 2, child count)
+    stack = [full]
+    while stack:
+        mask = stack.pop()
+        if not mask & (mask - 1):
+            preorder.append((mask, 2, 0))
+            continue
+        label, parts = 0, _components(rows, mask)
+        if len(parts) == 1:
+            label, parts = 1, _components(co_rows, mask)
+        if len(parts) == 1:
+            sub = induced_subgraph(g, [names[i] for i in _bits(mask)])
+            p4 = path_graph(4)
+            emb = find_induced_embedding(p4, sub)
+            if emb is None:  # pragma: no cover - impossible for connected co-connected graphs
+                raise NotCographError("not a cograph; no P4 witness found", ())
+            raise NotCographError("not a cograph", tuple(emb[v] for v in p4.vertices))
+        preorder.append((mask, label, len(parts)))
+        stack.extend(reversed(parts))
+    built: list[_Canon] = []  # finished subtrees, the next sibling on top
+    for mask, label, count in reversed(preorder):
+        if label == 2:
+            built.append(_canon_leaf(Leaf(names[mask.bit_length() - 1])))
+        else:
+            kids = built[-count:]
+            del built[-count:]
+            built.append(_canon_inner(label, kids[::-1]))
+    return built[0][0]
 
 
 def realize(t: CotreeNode) -> Graph:
@@ -273,16 +313,13 @@ def realize(t: CotreeNode) -> Graph:
     ensure_valid(t)
     edges: list[tuple[str, str]] = []
 
-    def walk(node: CotreeNode) -> list[str]:
-        if isinstance(node, Leaf):
-            return [node.name]
-        groups = [walk(c) for c in node.children]
+    def join(node: Inner, groups: list[list[str]]) -> list[str]:
         if node.label == 1:
             for gi, gj in itertools.combinations(groups, 2):
                 edges.extend((u, v) for u in gi for v in gj)
         return [v for grp in groups for v in grp]
 
-    names = walk(t)
+    names = _fold(t, lambda leaf: [leaf.name], join)
     return make_graph(names, edges)
 
 
@@ -299,9 +336,19 @@ def _pair_guard(g: Graph, u: str, v: str) -> None:
         raise SameVertexError(f"need two distinct vertices, got {u!r} twice")
 
 
-def _splits(g: Graph, a: str, b: str, w: str) -> bool:
-    """w distinguishes a from b: adjacent to exactly one of them."""
-    return g.has_edge(w, a) != g.has_edge(w, b)
+def _module_mask(rows: tuple[int, ...], i: int, j: int) -> int:
+    """Mask of the least module of positions i and j in a cograph: the pair,
+    every w that splits it, and every w that splits i or j from such a w."""
+    pair = 1 << i | 1 << j
+    step1 = (rows[i] ^ rows[j]) & ~pair
+    members = pair | step1
+    for w in _bits(step1):
+        members |= (rows[i] ^ rows[w]) | (rows[j] ^ rows[w])
+    return members
+
+
+def _members(g: Graph, mask: int) -> frozenset[str]:
+    return frozenset(g.vertices[i] for i in _bits(mask))
 
 
 def least_module(g: Graph, u: str, v: str) -> ModuleSet:
@@ -309,19 +356,14 @@ def least_module(g: Graph, u: str, v: str) -> ModuleSet:
 
     Members: u and v themselves; every w distinguishing u from v; and every
     w distinguishing u or v from some first-step witness.  For cographs the
-    closure stabilizes after these two steps.
+    closure stabilizes after these two steps.  Each step is a union of
+    symmetric differences of adjacency masks, with w distinguishing a from
+    b exactly when w is in adj(a) xor adj(b).
     """
     _pair_guard(g, u, v)
     decompose(g)  # raises NotCograph on a P4
-    members = {u, v}
-    step1 = [w for w in g.vertices if w not in members and _splits(g, u, v, w)]
-    members.update(step1)
-    for w in g.vertices:
-        if w in members:
-            continue
-        if any(_splits(g, u, wp, w) or _splits(g, v, wp, w) for wp in step1):
-            members.add(w)
-    return ModuleSet(frozenset(members), "least-module")
+    index, rows = g._masks
+    return ModuleSet(_members(g, _module_mask(rows, index[u], index[v])), "least-module")
 
 
 def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
@@ -331,13 +373,14 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
     least module of {u,w}.
     """
     _pair_guard(g, u, v)
-    members = set(least_module(g, u, v).members)
-    for w in g.vertices:
-        if w in members:
-            continue
-        if v not in least_module(g, u, w).members:
-            members.add(w)
-    return ModuleSet(frozenset(members), "least-strong-module")
+    decompose(g)  # raises NotCograph on a P4
+    index, rows = g._masks
+    i, j = index[u], index[v]
+    members = _module_mask(rows, i, j)
+    for w in range(g.n):
+        if not members >> w & 1 and not _module_mask(rows, i, w) >> j & 1:
+            members |= 1 << w
+    return ModuleSet(_members(g, members), "least-strong-module")
 
 
 @lru_cache(maxsize=None)
@@ -457,9 +500,9 @@ def interpret_tree_from_graph(g: Graph) -> CotreeNode:
             return Leaf(next(iter(s)))
         u, v = gen_pair[s]
         label = 1 if g.has_edge(u, v) else 0
-        return _inner(label, [build(c) for c in children[s]])
+        return Inner(label, tuple(build(c) for c in children[s]))
 
-    return build(root)
+    return normalize(build(root))
 
 
 def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
@@ -476,9 +519,9 @@ def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
     def build(node: PlainTree, depth: int) -> CotreeNode:
         kids: list[CotreeNode] = [Leaf(f"g{next(counter)}") for _ in range(k)]
         kids.extend(build(c, depth + 1) for c in node.children)
-        return _inner(depth % 2, kids)
+        return Inner(depth % 2, tuple(kids))
 
-    return build(t, 0)
+    return normalize(build(t, 0))
 
 
 def plain_tree_code(t: PlainTree) -> bytes:

@@ -13,6 +13,7 @@ host masks.  The search is iterative, so its depth is not bounded by the
 interpreter's recursion limit.  Pattern vertices are assigned in declared
 order and candidates tried in the host's declared order, so the witness is
 the first one in declared order, which makes every search deterministic.
+Connected components and the complement are read off the same masks.
 Degrees come from int.bit_count, which needs Python 3.10 or newer.
 """
 
@@ -189,12 +190,14 @@ def make_graph(names: Sequence[str], edge_pairs: Iterable[tuple[str, str]]) -> G
 
 def complement(g: Graph) -> Graph:
     """Same vertices; edge iff non-edge in g."""
-    edges = {
-        _norm_edge(u, v)
-        for u, v in itertools.combinations(g.vertices, 2)
-        if not g.has_edge(u, v)
-    }
-    return Graph(g.vertices, frozenset(edges))
+    names = g.vertices
+    rows = g._masks[1]
+    full = (1 << g.n) - 1
+    edges = set()
+    for i, u in enumerate(names):
+        later = full & ~rows[i] & ~((2 << i) - 1)  # non-neighbours declared after u
+        edges.update(_norm_edge(u, names[j]) for j in _bits(later))
+    return Graph(names, frozenset(edges))
 
 
 def relabel(g: Graph, mapping: Mapping[str, str]) -> Graph:
@@ -280,26 +283,38 @@ def cycle_graph(n: int) -> Graph:
     return make_graph(names, edges)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _components(rows: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the positions in mask, where rows[i] is the
+    neighbour mask of position i, ordered by their lowest position."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= rows[i]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
     """Components as vertex tuples, each in declared order, ordered by first vertex."""
-    seen: set[str] = set()
-    out: list[tuple[str, ...]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in g.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen.update(comp)
-        out.append(tuple(v for v in g.vertices if v in comp))
-    return out
+    names = g.vertices
+    return [
+        tuple(names[i] for i in _bits(comp))
+        for comp in _components(g._masks[1], (1 << g.n) - 1)
+    ]
 
 
 def _check_partial(pattern: Graph, host: Graph, partial: Mapping[str, str]) -> None:

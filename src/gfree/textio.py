@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .cotree import CotreeNode, Inner, Leaf, PlainTree
+from .cotree import CotreeNode, Inner, Leaf, PlainTree, _fold
 from .errors import FormatError
 from .graphs import Graph, make_graph
 
@@ -188,9 +188,11 @@ def _parse_node(
 
 
 def format_cotree(t: CotreeNode) -> str:
-    if isinstance(t, Leaf):
-        return t.name
-    return "(" + str(t.label) + " " + " ".join(format_cotree(c) for c in t.children) + ")"
+    return _fold(
+        t,
+        lambda leaf: leaf.name,
+        lambda node, kids: "(" + str(node.label) + " " + " ".join(kids) + ")",
+    )
 
 
 def parse_plain_tree(text: str) -> PlainTree:

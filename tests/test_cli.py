@@ -223,6 +223,32 @@ def test_iso_of_long_paths_runs_without_recursion(tmp_path: Path) -> None:
     assert all(second.has_edge(witness[u], witness[v]) for u, v in first.edges)
 
 
+def _caterpillar_text(depth: int) -> str:
+    """Cotree text of a spine of depth internal nodes, labels 0, 1, 0, ...
+    from the root, node i holding leaf v<i> and the last one also v<depth>."""
+    text = f"({(depth - 1) % 2} v{depth - 1} v{depth})"
+    for i in range(depth - 2, -1, -1):
+        text = f"({i % 2} v{i} {text})"
+    return text
+
+
+def test_realize_of_deep_caterpillar_runs_without_recursion(tmp_path: Path) -> None:
+    depth = 600
+    res = run_command(["realize", _write(tmp_path, "deep.tree", _caterpillar_text(depth) + "\n")])
+    assert res.exit_code == 0
+    names = [f"v{i}" for i in range(depth + 1)]
+    # v<i> and a later leaf meet at spine node i, whose label is i % 2
+    edges = [(names[i], names[j]) for i in range(1, depth, 2) for j in range(i + 1, depth + 1)]
+    assert res.stdout == format_graph(make_graph(names, edges))
+
+
+def test_delete_leaf_of_deep_caterpillar_runs_without_recursion(tmp_path: Path) -> None:
+    depth = 600
+    tree = _write(tmp_path, "deep.tree", _caterpillar_text(depth) + "\n")
+    res = run_command(["delete-leaf", tree, f"v{depth}"])
+    assert (res.exit_code, res.stdout) == (0, _caterpillar_text(depth - 1) + "\n")
+
+
 def test_missing_file_is_exit_2(tmp_path: Path) -> None:
     assert run_command(["recognize", str(tmp_path / "absent.graph")]).exit_code == 2
 

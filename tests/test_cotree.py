@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
 from gfree import (
     EmptyGraphError,
+    Graph,
+    Inner,
     InvalidCotreeError,
     Leaf,
     NotCographError,
@@ -21,7 +24,9 @@ from gfree import (
     cycle_graph,
     decompose,
     ensure_valid,
+    find_induced_embedding,
     format_cotree,
+    induced_subgraph,
     interpret_tree_from_graph,
     is_isomorphic,
     leaf_names,
@@ -47,6 +52,88 @@ K2 = make_graph(["a", "b"], [("a", "b")])
 TWO_K2 = make_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
 
 
+# Oracle: the recursive split on string-tuple graphs that decompose used to
+# run, with the components, complement and child ordering it relied on.
+def _oracle_components(g: Graph) -> list[tuple[str, ...]]:
+    seen: set[str] = set()
+    out: list[tuple[str, ...]] = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in g.neighbors(v):
+                    if w not in comp:
+                        comp.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        seen.update(comp)
+        out.append(tuple(v for v in g.vertices if v in comp))
+    return out
+
+
+def _oracle_complement(g: Graph) -> Graph:
+    edges = {(u, v) if u <= v else (v, u) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)}
+    return Graph(g.vertices, frozenset(edges))
+
+
+def _oracle_code(node) -> bytes:
+    if isinstance(node, Leaf):
+        return b"2"
+    kids = sorted((_oracle_code(c) for c in node.children), reverse=True)
+    return str(node.label).encode("ascii") + b"(" + b"".join(kids) + b")"
+
+
+def _oracle_min_leaf(node) -> str:
+    if isinstance(node, Leaf):
+        return node.name
+    return min(_oracle_min_leaf(c) for c in node.children)
+
+
+def _oracle_inner(label: int, children: list) -> Inner:
+    kids = sorted(children, key=_oracle_min_leaf)
+    kids.sort(key=_oracle_code, reverse=True)
+    return Inner(label, tuple(kids))
+
+
+def _oracle_decompose(g: Graph):
+    if g.n == 1:
+        return Leaf(g.vertices[0])
+    comps = _oracle_components(g)
+    if len(comps) > 1:
+        return _oracle_inner(0, [_oracle_decompose(induced_subgraph(g, c)) for c in comps])
+    cocomps = _oracle_components(_oracle_complement(g))
+    if len(cocomps) > 1:
+        return _oracle_inner(1, [_oracle_decompose(induced_subgraph(g, c)) for c in cocomps])
+    p4 = path_graph(4)
+    emb = find_induced_embedding(p4, g)
+    witness = tuple(emb[v] for v in p4.vertices)
+    raise NotCographError("not a cograph", witness)
+
+
+def _random_cographs(count: int, seed: int) -> list[Graph]:
+    """Cographs on 8-30 vertices: random joins and unions of single vertices,
+    declared in a shuffled order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        names = [f"v{i}" for i in range(rng.randint(8, 30))]
+        parts = [make_graph([x], []) for x in names]
+        while len(parts) > 1:
+            a = parts.pop(rng.randrange(len(parts)))
+            b = parts.pop(rng.randrange(len(parts)))
+            parts.append(combine(a, b, rng.choice(["disjoint", "join"])))
+        rng.shuffle(names)
+        out.append(make_graph(names, parts[0].edges))
+    return out
+
+
+RANDOM_COGRAPHS = _random_cographs(40, 20261018)
+
+
 def test_decompose_k2() -> None:
     assert format_cotree(decompose(K2)) == "(1 a b)"
 
@@ -64,6 +151,42 @@ def test_decompose_p4_witness() -> None:
     with pytest.raises(NotCographError) as exc:
         decompose(path_graph(4))
     assert exc.value.witness == ("g0", "g1", "g2", "g3")
+
+
+def test_decompose_matches_recursive_oracle_randomized() -> None:
+    rng = random.Random(4)
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        names = rng.sample([f"x{i}" for i in range(20)], n)
+        density = rng.uniform(0.1, 0.9)
+        g = make_graph(names, [p for p in combinations(names, 2) if rng.random() < density])
+        try:
+            want = _oracle_decompose(g)
+        except NotCographError as exc:
+            with pytest.raises(NotCographError) as got:
+                decompose(g)
+            assert got.value.witness == exc.witness
+        else:
+            assert format_cotree(decompose(g)) == format_cotree(want)
+
+
+def test_decompose_against_networkx() -> None:
+    nx = pytest.importorskip("networkx")
+    for seed in range(5):
+        h = nx.relabel_nodes(nx.random_cograph(6, seed=seed), str)
+        g = make_graph(list(h.nodes), list(h.edges))
+        assert realize(decompose(g)).edges == g.edges
+    rng = random.Random(11)
+    for seed in range(20):
+        h = nx.relabel_nodes(nx.random_cograph(4, seed=seed), str)
+        a, b, c, d = rng.sample(list(h.nodes), 4)
+        h.remove_edges_from(combinations((a, b, c, d), 2))
+        h.add_edges_from([(a, b), (b, c), (c, d)])
+        with pytest.raises(NotCographError) as exc:
+            decompose(make_graph(list(h.nodes), list(h.edges)))
+        w = exc.value.witness
+        assert h.subgraph(w).number_of_edges() == 3
+        assert all(h.has_edge(x, y) for x, y in zip(w, w[1:]))
 
 
 def test_decompose_rejects_empty() -> None:
@@ -206,10 +329,11 @@ def test_module_closure_oracle_size_guard() -> None:
 
 
 def test_module_formulas_match_oracles_small() -> None:
-    for n in range(2, 7):
-        for g in cograph_classes(n):
-            for u, v in combinations(g.vertices, 2):
-                assert least_module(g, u, v).members == module_closure_oracle(g, u, v, strong=False).members
+    small = [g for n in range(2, 7) for g in cograph_classes(n)]
+    for g in small + RANDOM_COGRAPHS:
+        for u, v in combinations(g.vertices, 2):
+            assert least_module(g, u, v).members == module_closure_oracle(g, u, v, strong=False).members
+            if g.n <= 6:
                 assert (
                     least_strong_module(g, u, v).members
                     == module_closure_oracle(g, u, v, strong=True).members
@@ -224,20 +348,17 @@ def test_least_module_matches_meet_characterization() -> None:
 
 
 def test_internal_nodes_are_least_strong_modules() -> None:
-    for n in range(2, 7):
-        for g in cograph_classes(n):
-            t = decompose(g)
-            if isinstance(t, Leaf):
+    small = [g for n in range(2, 7) for g in cograph_classes(n)]
+    for g in small + RANDOM_COGRAPHS:
+        stack = [decompose(g)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
                 continue
-            stack = [t]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Leaf):
-                    continue
-                u = sorted(leaf_names(node.children[0]))[0]
-                v = sorted(leaf_names(node.children[1]))[0]
-                assert least_strong_module(g, u, v).members == frozenset(leaf_names(node))
-                stack.extend(node.children)
+            u = sorted(leaf_names(node.children[0]))[0]
+            v = sorted(leaf_names(node.children[1]))[0]
+            assert least_strong_module(g, u, v).members == frozenset(leaf_names(node))
+            stack.extend(node.children)
 
 
 def test_interpret_tree_examples() -> None:

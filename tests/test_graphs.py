@@ -154,6 +154,9 @@ def test_complement_involution_randomized() -> None:
         edges = [p for p in combinations(names, 2) if rng.random() < 0.4]
         g = make_graph(names, edges)
         assert complement(complement(g)) == g
+        assert complement(g) == make_graph(
+            names, [p for p in combinations(names, 2) if not g.has_edge(*p)]
+        )
 
 
 def test_combine_examples() -> None:
