@@ -202,13 +202,17 @@ def _path_str(path: tuple[int, ...]) -> str:
 
 
 _T = TypeVar("_T")
+_Node = Union[CotreeNode, PlainTree]
 
 
-def _fold(t: CotreeNode, leaf: Callable[[Leaf], _T], inner: Callable[[Inner, list[_T]], _T]) -> _T:
+def _fold(
+    t: _Node, leaf: Callable[[Leaf], _T] | None, inner: Callable[[_Node, list[_T]], _T]
+) -> _T:
     """Postorder fold without recursion: leaf(node) at each leaf, and
-    inner(node, results of its children in order) at each internal node."""
+    inner(node, results of its children in order) at each other node,
+    which for a plain tree is every node."""
     done: list[_T] = []
-    stack: list[tuple[CotreeNode, bool]] = [(t, False)]
+    stack: list[tuple[_Node, bool]] = [(t, False)]
     while stack:
         node, ready = stack.pop()
         if isinstance(node, Leaf):
@@ -509,22 +513,27 @@ def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
     """Turn a plain rooted tree into a cotree by adding k fresh leaves per node.
 
     Original nodes become internal nodes labeled by depth parity (root 0);
-    each gains k leaf children named g0, g1, ... in preorder.  With k >= 2
-    the lift is injective on tree isomorphism classes.
+    node i in preorder gains the k leaf children g<k*i> .. g<k*i+k-1>.  With
+    k >= 2 the lift is injective on tree isomorphism classes.
     """
     if k < 2:
         raise BadSizeError(f"tree lift needs k >= 2, got {k}")
-    counter = itertools.count()
-
-    def build(node: PlainTree, depth: int) -> CotreeNode:
-        kids: list[CotreeNode] = [Leaf(f"g{next(counter)}") for _ in range(k)]
-        kids.extend(build(c, depth + 1) for c in node.children)
-        return Inner(depth % 2, tuple(kids))
-
-    return normalize(build(t, 0))
+    preorder: list[tuple[PlainTree, int]] = []  # (node, depth)
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        preorder.append((node, depth))
+        stack.extend((c, depth + 1) for c in reversed(node.children))
+    built: list[CotreeNode] = []  # finished subtrees, the next sibling on top
+    for i in range(len(preorder) - 1, -1, -1):
+        node, depth = preorder[i]
+        first = len(built) - len(node.children)
+        kids = [Leaf(f"g{k * i + j}") for j in range(k)] + built[first:][::-1]
+        del built[first:]
+        built.append(Inner(depth % 2, tuple(kids)))
+    return normalize(built[0])
 
 
 def plain_tree_code(t: PlainTree) -> bytes:
     """Code equal for two plain trees iff they are isomorphic as rooted trees."""
-    kids = sorted((plain_tree_code(c) for c in t.children), reverse=True)
-    return b"(" + b"".join(kids) + b")"
+    return _fold(t, None, lambda node, kids: b"(" + b"".join(sorted(kids, reverse=True)) + b")")

@@ -157,24 +157,21 @@ def delete_vertex_cotree(t: CotreeNode, v: str) -> CotreeNode:
     if isinstance(t, Leaf):
         raise LastLeafError("cannot delete the only leaf")
 
-    def remove(node: Inner, relpath: tuple[int, ...]) -> CotreeNode:
-        i = relpath[0]
+    path = paths[v]
+    spine = [t]  # the nodes above the leaf, root first
+    for i in path[:-1]:
+        spine.append(spine[-1].children[i])
+    new: CotreeNode | None = None  # the rebuilt child; None for the deleted leaf
+    for node, i in zip(reversed(spine), reversed(path)):
         kids = list(node.children)
-        if len(relpath) == 1:
+        if new is None:
             del kids[i]
+        elif isinstance(new, Inner) and new.label == node.label:
+            kids[i : i + 1] = list(new.children)
         else:
-            child = kids[i]
-            assert isinstance(child, Inner)
-            r = remove(child, relpath[1:])
-            if isinstance(r, Inner) and r.label == node.label:
-                kids[i : i + 1] = list(r.children)
-            else:
-                kids[i] = r
-        if len(kids) == 1:
-            return kids[0]
-        return Inner(node.label, tuple(kids))
-
-    return normalize(remove(t, paths[v]))
+            kids[i] = new
+        new = kids[0] if len(kids) == 1 else Inner(node.label, tuple(kids))
+    return normalize(new)
 
 
 def max_induced_cycle(g: Graph) -> int | None:

@@ -9,12 +9,15 @@ violations (alternation, arity, duplicate leaves) with line and column;
 the lax parser builds the tree anyway so a validator can report them.
 
 Plain tree files: nested parentheses, one node per "()" pair.
+
+Both tree formats are read by one explicit-stack reader, so nesting depth
+is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Callable
 
 from .cotree import CotreeNode, Inner, Leaf, PlainTree, _fold
 from .errors import FormatError
@@ -78,45 +81,67 @@ def format_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield text[i:j], line, col
-            col += j - i
-            i = j
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
-class _TokenStream:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """Parentheses and whitespace-free names, each with its line and column."""
+    return [
+        (m.group(), line, m.start() + 1)
+        for line, row in enumerate(text.split("\n"), 1)
+        for m in _TOKEN_RE.finditer(row)
+    ]
 
-    def peek(self) -> tuple[str, int, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
+def _read_tree(
+    text: str,
+    opened: Callable[[Callable[[], tuple[str, int, int]], object], object],
+    leaf: Callable[[str, int, int], object],
+    closed: Callable[[object, int, int, list], object],
+):
+    """Read one parenthesized tree, with an explicit stack of open nodes.
+
+    On "(" opened(take, state of the enclosing open node or None) gives the
+    new node's state, and may call take() for the tokens that follow the
+    parenthesis; any other token becomes leaf(token, line, col); on the
+    matching ")" closed(state, line, col of its "(", children) builds the
+    node.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+
+    def take() -> tuple[str, int, int]:
+        nonlocal pos
+        if pos == len(tokens):
             raise FormatError("unexpected end of input")
-        self.pos += 1
-        return tok
+        pos += 1
+        return tokens[pos - 1]
+
+    stack: list[tuple[object, int, int, list]] = []  # state, line, col, children
+    while True:
+        tok, line, col = take()
+        if tok == "(":
+            stack.append((opened(take, stack[-1][0] if stack else None), line, col, []))
+            node = None
+        else:
+            node = leaf(tok, line, col)
+        while stack:
+            state, line, col, children = stack[-1]
+            if node is not None:
+                children.append(node)
+            if pos == len(tokens):
+                raise FormatError("missing ')'", line=line, col=col)
+            if tokens[pos][0] != ")":
+                break
+            pos += 1
+            stack.pop()
+            node = closed(state, line, col, children)
+        if not stack:
+            break
+    if pos < len(tokens):
+        tok, line, col = tokens[pos]
+        raise FormatError(f"unexpected trailing token {tok!r}", line=line, col=col)
+    return node
 
 
 def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
@@ -126,65 +151,47 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     nodes with fewer than two children, duplicate leaf names, and labels
     other than 0/1, pointing at the offending token.
     """
-    stream = _TokenStream(text)
-    seen: dict[str, tuple[int, int]] = {}
-    root = _parse_node(stream, None, strict, seen)
-    extra = stream.peek()
-    if extra is not None:
-        raise FormatError(
-            f"unexpected trailing token {extra[0]!r}", line=extra[1], col=extra[2]
-        )
-    return root
+    seen: set[str] = set()
 
-
-def _parse_node(
-    stream: _TokenStream,
-    parent_label: int | None,
-    strict: bool,
-    seen: dict[str, tuple[int, int]],
-) -> CotreeNode:
-    tok, line, col = stream.next()
-    if tok == ")":
-        raise FormatError("unexpected ')'", line=line, col=col)
-    if tok != "(":
+    def leaf(tok: str, line: int, col: int) -> Leaf:
+        if tok == ")":
+            raise FormatError("unexpected ')'", line=line, col=col)
         if strict and tok in seen:
             raise FormatError(f"duplicate leaf name {tok!r}", line=line, col=col)
-        seen[tok] = (line, col)
+        seen.add(tok)
         return Leaf(tok)
-    lab_tok, lab_line, lab_col = stream.next()
-    if not lab_tok.isdigit():
-        raise FormatError(
-            f"internal node label must be an integer, got {lab_tok!r}",
-            line=lab_line,
-            col=lab_col,
-        )
-    label = int(lab_tok)
-    if strict and label not in (0, 1):
-        raise FormatError(
-            f"internal node label must be 0 or 1, got {label}",
-            line=lab_line,
-            col=lab_col,
-        )
-    if strict and parent_label is not None and label == parent_label:
-        raise FormatError(
-            f"child label {label} equals parent label", line=lab_line, col=lab_col
-        )
-    children: list[CotreeNode] = []
-    while True:
-        nxt = stream.peek()
-        if nxt is None:
-            raise FormatError("missing ')'", line=line, col=col)
-        if nxt[0] == ")":
-            stream.next()
-            break
-        children.append(_parse_node(stream, label, strict, seen))
-    if strict and len(children) < 2:
-        raise FormatError(
-            f"internal node has {len(children)} child(ren), needs >= 2",
-            line=line,
-            col=col,
-        )
-    return Inner(label, tuple(children))
+
+    def opened(take, parent_label) -> int:
+        lab_tok, lab_line, lab_col = take()
+        if not lab_tok.isdecimal():
+            raise FormatError(
+                f"internal node label must be an integer, got {lab_tok!r}",
+                line=lab_line,
+                col=lab_col,
+            )
+        label = int(lab_tok)
+        if strict and label not in (0, 1):
+            raise FormatError(
+                f"internal node label must be 0 or 1, got {label}",
+                line=lab_line,
+                col=lab_col,
+            )
+        if strict and label == parent_label:
+            raise FormatError(
+                f"child label {label} equals parent label", line=lab_line, col=lab_col
+            )
+        return label
+
+    def closed(label: int, line: int, col: int, children: list) -> Inner:
+        if strict and len(children) < 2:
+            raise FormatError(
+                f"internal node has {len(children)} child(ren), needs >= 2",
+                line=line,
+                col=col,
+            )
+        return Inner(label, tuple(children))
+
+    return _read_tree(text, opened, leaf, closed)
 
 
 def format_cotree(t: CotreeNode) -> str:
@@ -197,30 +204,17 @@ def format_cotree(t: CotreeNode) -> str:
 
 def parse_plain_tree(text: str) -> PlainTree:
     """Parse a nested-parentheses rooted tree, e.g. "(()(()))"."""
-    stream = _TokenStream(text)
-    root = _parse_plain(stream)
-    extra = stream.peek()
-    if extra is not None:
-        raise FormatError(
-            f"unexpected trailing token {extra[0]!r}", line=extra[1], col=extra[2]
-        )
-    return root
 
-
-def _parse_plain(stream: _TokenStream) -> PlainTree:
-    tok, line, col = stream.next()
-    if tok != "(":
+    def leaf(tok: str, line: int, col: int):
         raise FormatError(f"expected '(', got {tok!r}", line=line, col=col)
-    children: list[PlainTree] = []
-    while True:
-        nxt = stream.peek()
-        if nxt is None:
-            raise FormatError("missing ')'", line=line, col=col)
-        if nxt[0] == ")":
-            stream.next()
-            return PlainTree(tuple(children))
-        children.append(_parse_plain(stream))
+
+    return _read_tree(
+        text,
+        lambda take, parent: None,
+        leaf,
+        lambda state, line, col, children: PlainTree(tuple(children)),
+    )
 
 
 def format_plain_tree(t: PlainTree) -> str:
-    return "(" + "".join(format_plain_tree(c) for c in t.children) + ")"
+    return _fold(t, None, lambda node, kids: "(" + "".join(kids) + ")")

@@ -8,6 +8,11 @@ Evaluation uses standard semantics: bound variables range over all
 vertices, equal values allowed, and a vertex is never adjacent to itself.
 The k-bounded type fragment of a target collects the formulas of all
 forbidden-free extensions that hold in it.
+
+Deduplication and evaluation run on the graphs' adjacency masks
+(Graph._masks): extensions are bucketed by a mask invariant before the
+exact pairwise isomorphism check, and evaluation searches over int-mask
+domains of target positions.
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ from .errors import (
     UnknownConstantError,
     UnknownVertexError,
 )
-from .graphs import Graph, find_induced_embedding, induced_subgraph, is_free, make_graph
+from .graphs import (
+    Graph,
+    _bits,
+    find_induced_embedding,
+    induced_subgraph,
+    is_free,
+    make_graph,
+)
 
 __all__ = [
     "Term",
@@ -93,23 +105,13 @@ class ConstantedGraph:
                 raise UnknownVertexError(f"constant {c!r} is not a vertex")
 
 
-def _iso_key(g: Graph, pinned: tuple[str, ...]) -> tuple:
-    """Invariant of g under isomorphisms fixing the pinned vertices."""
-    pin = set(pinned)
-    col = {
-        v: ("P:" + v if v in pin else "F") + f"/{g.degree(v)}" for v in g.vertices
-    }
-    for _ in range(3):
-        col = {
-            v: col[v] + "|" + ",".join(sorted(col[w] for w in g.neighbors(v)))
-            for v in g.vertices
-        }
-    return (
-        g.n,
-        g.m,
-        tuple(col[v] for v in pinned),
-        tuple(sorted(col[v] for v in g.vertices if v not in pin)),
-    )
+def _iso_key(g: Graph, pinned: int) -> tuple:
+    """Invariant of g under isomorphisms fixing its first `pinned` vertices:
+    the edge count and, for each other vertex, the sorted pairs of its
+    neighbours among the pinned ones (as a mask) and its degree."""
+    rows = g._masks[1]
+    low = (1 << pinned) - 1
+    return g.m, tuple(sorted((row & low, row.bit_count()) for row in rows[pinned:]))
 
 
 def _iso_fixing(g: Graph, h: Graph, pinned: tuple[str, ...]) -> bool:
@@ -126,8 +128,10 @@ def enumerate_extensions(
 
     Fresh vertices are named "0" .. str(k-1); level by level, every
     adjacency pattern to the previous graph is tried and duplicates are
-    removed up to isomorphisms fixing the base pointwise.  Order is
-    deterministic: by level, then by discovery.
+    removed up to isomorphisms fixing the base pointwise: a candidate is
+    checked only against the kept graphs with its _iso_key, and kept when
+    none is isomorphic to it.  Order is deterministic: by level, then by
+    discovery.
     """
     if k < 0:
         raise BadSizeError(f"need k >= 0, got {k}")
@@ -146,16 +150,13 @@ def enumerate_extensions(
         buckets: dict[tuple, list[Graph]] = {}
         kept: list[Graph] = []
         for g in current:
-            names = list(g.vertices) + [new_name]
+            names = g.vertices + (new_name,)
             for mask in range(1 << g.n):
-                edges = list(g.edges)
-                edges.extend(
-                    (new_name, g.vertices[i]) for i in range(g.n) if mask >> i & 1
-                )
-                cand = make_graph(names, edges)
+                fresh = [(new_name, g.vertices[i]) for i in _bits(mask)]
+                cand = make_graph(names, [*g.edges, *fresh])
                 if not is_free(cand, forbidden):
                     continue
-                key = _iso_key(cand, pinned)
+                key = _iso_key(cand, base.graph.n)
                 bucket = buckets.setdefault(key, [])
                 if any(_iso_fixing(cand, rep, pinned) for rep in bucket):
                     continue
@@ -194,57 +195,52 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
 
     Bound variables range over all target vertices, repetitions allowed; a
     positive literal needs an edge, a negative one needs a non-edge (no
-    vertex is adjacent to itself).  The search assigns the variable with the
-    fewest remaining candidates first and narrows the other domains after
-    each choice, which keeps refutations cheap.
+    vertex is adjacent to itself).  Each variable's domain is an int mask
+    over the target's vertex positions: a literal against a constant or an
+    assigned variable c ANDs in c's adjacency row, or its complement when
+    negative.  The search assigns the variable with the fewest remaining
+    candidates first, tries them in declared order, and narrows the other
+    domains after each choice, which keeps refutations cheap.
     """
     have = set(target.constants)
     for c in phi.constants:
         if c not in have:
             raise UnknownConstantError(f"constant {c!r} missing from the target")
-    g = target.graph
+    index, rows = target.graph._masks
+    full = (1 << len(rows)) - 1
 
-    ground: list[tuple[str, str, bool]] = []
-    unary: list[list[tuple[str, bool]]] = [[] for _ in range(phi.bound_count)]
+    def side(v: int, pos: bool) -> int:
+        """Positions adjacent to v, or with pos False the rest (v included)."""
+        return rows[v] if pos else full & ~rows[v]
+
+    domains = [full] * phi.bound_count
     binary: list[list[tuple[int, bool]]] = [[] for _ in range(phi.bound_count)]
     for a, b, pos in phi.literals:
-        ints = [t for t in (a, b) if isinstance(t, int)]
-        if not ints:
-            ground.append((a, b, pos))
-        elif len(ints) == 1:
-            const = a if isinstance(b, int) else b
-            unary[ints[0]].append((const, pos))
-        else:
+        if isinstance(a, int) and isinstance(b, int):
             binary[a].append((b, pos))
             binary[b].append((a, pos))
-
-    if not all(g.has_edge(a, b) == pos for a, b, pos in ground):
-        return False
-
-    verts = g.vertices
-    domains: list[set[str]] = []
-    for i in range(phi.bound_count):
-        dom = set(verts)
-        for c, pos in unary[i]:
-            dom = {v for v in dom if g.has_edge(c, v) == pos}
-        domains.append(dom)
+        elif isinstance(a, int):
+            domains[a] &= side(index[b], pos)
+        elif isinstance(b, int):
+            domains[b] &= side(index[a], pos)
+        elif not side(index[a], pos) >> index[b] & 1:
+            return False
 
     unassigned = set(range(phi.bound_count))
 
     def search() -> bool:
         if not unassigned:
             return True
-        i = min(unassigned, key=lambda j: (len(domains[j]), j))
+        i = min(unassigned, key=lambda j: (domains[j].bit_count(), j))
         unassigned.remove(i)
-        dom = domains[i]
-        for w in (v for v in verts if v in dom):
-            pruned: list[tuple[int, set[str]]] = []
+        for w in _bits(domains[i]):
+            pruned: list[tuple[int, int]] = []
             ok = True
             for j, pos in binary[i]:
                 if j not in unassigned:
                     continue
-                keep = {v for v in domains[j] if g.has_edge(w, v) == pos}
-                if len(keep) != len(domains[j]):
+                keep = domains[j] & side(w, pos)
+                if keep != domains[j]:
                     pruned.append((j, domains[j]))
                     domains[j] = keep
                 if not keep:
@@ -255,7 +251,6 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
             for j, old in pruned:
                 domains[j] = old
         unassigned.add(i)
-        domains[i] = dom
         return False
 
     return search()

@@ -233,20 +233,35 @@ def _caterpillar_text(depth: int) -> str:
 
 
 def test_realize_of_deep_caterpillar_runs_without_recursion(tmp_path: Path) -> None:
-    depth = 600
-    res = run_command(["realize", _write(tmp_path, "deep.tree", _caterpillar_text(depth) + "\n")])
-    assert res.exit_code == 0
-    names = [f"v{i}" for i in range(depth + 1)]
-    # v<i> and a later leaf meet at spine node i, whose label is i % 2
-    edges = [(names[i], names[j]) for i in range(1, depth, 2) for j in range(i + 1, depth + 1)]
-    assert res.stdout == format_graph(make_graph(names, edges))
+    for depth in (600, 2000):
+        tree = _write(tmp_path, f"deep{depth}.tree", _caterpillar_text(depth) + "\n")
+        res = run_command(["realize", tree])
+        assert res.exit_code == 0
+        names = [f"v{i}" for i in range(depth + 1)]
+        # v<i> and a later leaf meet at spine node i, whose label is i % 2
+        edges = [f"v{i} v{j}" for i in range(1, depth, 2) for j in range(i + 1, depth + 1)]
+        assert res.stdout == "\n".join([f"{len(names)} {len(edges)}", *names, *edges]) + "\n"
 
 
 def test_delete_leaf_of_deep_caterpillar_runs_without_recursion(tmp_path: Path) -> None:
-    depth = 600
-    tree = _write(tmp_path, "deep.tree", _caterpillar_text(depth) + "\n")
-    res = run_command(["delete-leaf", tree, f"v{depth}"])
-    assert (res.exit_code, res.stdout) == (0, _caterpillar_text(depth - 1) + "\n")
+    for depth in (600, 2000):
+        tree = _write(tmp_path, f"deep{depth}.tree", _caterpillar_text(depth) + "\n")
+        res = run_command(["delete-leaf", tree, f"v{depth}"])
+        assert (res.exit_code, res.stdout) == (0, _caterpillar_text(depth - 1) + "\n")
+
+
+def test_validate_of_deep_caterpillar_runs_without_recursion(tmp_path: Path) -> None:
+    tree = _write(tmp_path, "deep.tree", _caterpillar_text(2000) + "\n")
+    res = run_command(["validate", tree])
+    assert (res.exit_code, res.stdout) == (0, "valid\n")
+
+
+def test_tree_lift_of_deep_path_runs_without_recursion(tmp_path: Path) -> None:
+    depth = 2000
+    res = run_command(["tree-lift", _write(tmp_path, "deep.tree", "(" * depth + ")" * depth + "\n")])
+    # node i of the path sits at depth i and owns the leaves g<2i> and g<2i+1>
+    want = " ".join(f"({i % 2} g{2 * i} g{2 * i + 1}" for i in range(depth)) + ")" * depth
+    assert (res.exit_code, res.stdout) == (0, want + "\n")
 
 
 def test_missing_file_is_exit_2(tmp_path: Path) -> None:

@@ -19,6 +19,7 @@ from gfree import (
     parse_graph,
     parse_plain_tree,
     path_graph,
+    plain_tree_code,
 )
 
 
@@ -107,6 +108,13 @@ def test_parse_cotree_reports_position() -> None:
     assert exc.value.col == 7
 
 
+def test_parse_cotree_rejects_non_decimal_digit_label() -> None:
+    # "²" is a digit to str.isdigit but not a number to int()
+    with pytest.raises(FormatError) as exc:
+        parse_cotree("(1 a (² b c))", strict=False)
+    assert (exc.value.line, exc.value.col) == (1, 7)
+
+
 def test_parse_cotree_unbalanced() -> None:
     with pytest.raises(FormatError):
         parse_cotree("(1 a (0 b")
@@ -122,8 +130,10 @@ def test_parse_cotree_lax_mode() -> None:
 
 
 def test_plain_tree_roundtrip() -> None:
-    for text in ["()", "(())", "(()())", "(()(()))"]:
+    deep = "(" * 2000 + ")" * 2000
+    for text in ["()", "(())", "(()())", "(()(()))", deep]:
         assert format_plain_tree(parse_plain_tree(text)) == text
+    assert plain_tree_code(parse_plain_tree(deep)) == deep.encode()
 
 
 def test_parse_plain_tree_shape() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +19,7 @@ from gfree import (
     eval_existential,
     find_induced_embedding,
     graph_classes,
+    is_free,
     is_isomorphic,
     make_graph,
     path_graph,
@@ -25,6 +27,7 @@ from gfree import (
     relabel,
     type_fragment,
 )
+from gfree.typeslogic import _iso_fixing
 
 P3 = path_graph(3)
 C3 = cycle_graph(3)
@@ -207,6 +210,25 @@ def test_eval_matches_product_oracle() -> None:
             assert eval_existential(phi, target) == _eval_product_oracle(phi, target)
 
 
+def _random_constanted(rng: random.Random, names: list[str], density: float) -> ConstantedGraph:
+    edges = [(u, v) for u, v in combinations(names, 2) if rng.random() < density]
+    constants = rng.sample(names, min(len(names), rng.randint(0, 2)))
+    return ConstantedGraph(make_graph(names, edges), tuple(constants))
+
+
+def _random_formula(rng: random.Random, constants: tuple[str, ...]) -> ExistentialFormula:
+    """Up to three bound variables and up to six literals over them and the
+    constants, so with two constants some literals are ground."""
+    bound = rng.randint(0, 3)
+    terms = list(range(bound)) + list(constants)
+    literals = []
+    if len(terms) >= 2:
+        for _ in range(rng.randint(0, 6)):
+            a, b = rng.sample(terms, 2)
+            literals.append((a, b, rng.random() < 0.5))
+    return ExistentialFormula(bound, constants, tuple(literals))
+
+
 def test_eval_with_constants_matches_product_oracle() -> None:
     base = ConstantedGraph(K1_A, ("a",))
     exts = enumerate_extensions(base, P3, 2)
@@ -219,6 +241,55 @@ def test_eval_with_constants_matches_product_oracle() -> None:
         phi = phi_formula(ext, base)
         for target in targets:
             assert eval_existential(phi, target) == _eval_product_oracle(phi, target)
+    rng = random.Random(17)
+    ground = 0
+    for _ in range(300):
+        names = [f"t{i}" for i in range(rng.randint(1, 6))]
+        rng.shuffle(names)
+        target = _random_constanted(rng, names, rng.uniform(0.2, 0.8))
+        for _ in range(5):
+            phi = _random_formula(rng, target.constants)
+            ground += any(isinstance(a, str) and isinstance(b, str) for a, b, _ in phi.literals)
+            assert eval_existential(phi, target) == _eval_product_oracle(phi, target)
+    assert ground > 50
+
+
+def _extensions_keyless(
+    base: ConstantedGraph, forbidden: Graph, k: int
+) -> list[ConstantedGraph]:
+    """enumerate_extensions without the key buckets: every candidate is
+    checked with _iso_fixing against every graph kept so far at its level."""
+    pinned = base.graph.vertices
+    out, current = [base], [base.graph]
+    for level in range(k):
+        new, kept = str(level), []
+        for g in current:
+            for mask in range(1 << g.n):
+                extra = [(new, g.vertices[i]) for i in range(g.n) if mask >> i & 1]
+                cand = make_graph(g.vertices + (new,), list(g.edges) + extra)
+                if is_free(cand, forbidden) and not any(
+                    _iso_fixing(cand, h, pinned) for h in kept
+                ):
+                    kept.append(cand)
+        out.extend(ConstantedGraph(g, base.constants) for g in kept)
+        current = kept
+    return out
+
+
+def test_enumerate_extensions_matches_keyless_dedup() -> None:
+    """The keyless reference is quadratic in the graphs kept per level, so
+    n + k stays at most 6."""
+    forbidden = [P3, C3, path_graph(4), cycle_graph(4), path_graph(5)]
+    rng = random.Random(23)
+    cases = 0
+    while cases < 60:
+        n, k = rng.randint(0, 4), rng.randint(0, 3)
+        f = rng.choice(forbidden)
+        base = _random_constanted(rng, ["a", "b", "c", "d"][:n], 0.5)
+        if n + k > 6 or not is_free(base.graph, f):
+            continue
+        cases += 1
+        assert enumerate_extensions(base, f, k) == _extensions_keyless(base, f, k)
 
 
 def _digit_named(g: Graph) -> ConstantedGraph:
