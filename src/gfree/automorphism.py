@@ -8,11 +8,9 @@ check_no_z3 confirms the exclusion exhaustively on small cographs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .census import cograph_classes
 from .cotree import decompose, leaf_paths, meet_path
-from .errors import NotIsomorphismError, NotOrderThreeError, TooLargeError
+from .errors import NotIsomorphismError, NotOrderThreeError, TooLargeError, record
 from .graphs import Graph, VertexMap, _embeddings
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Permutation(VertexMap):
     """Bijection on a fixed vertex set, stored as sorted (source, image) pairs."""
 
@@ -125,7 +122,7 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class NoZ3Report:
     max_n: int
     examined: tuple[tuple[int, int], ...]  # (vertex count, cographs examined)

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence, TypeVar
 
 from .cotree import CotreeNode, Inner, Leaf, PlainTree, normalize, realize
+from .errors import TooLargeError
 from .graphs import Graph, make_graph
 
 __all__ = [
@@ -29,10 +30,12 @@ def graph_classes(n: int) -> list[Graph]:
     """All unlabeled graphs on n vertices, one representative each.
 
     Orbit marking over edge-set bitmasks; cost grows with (number of
-    classes) * n!, so this is meant for n <= 7.
+    classes) * n!, so n is bounded by 7 (TooLargeError past it).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    if n > 7:
+        raise TooLargeError(f"graph classes are enumerated up to 7 vertices, got {n}")
     names = [f"g{i}" for i in range(n)]
     if n == 0:
         return [make_graph([], [])]

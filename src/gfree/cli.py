@@ -9,56 +9,34 @@ witness, and stats; an error becomes an object with verdict "error" and its
 text in message.
 
 Every handler returns one Report, and _render turns it into text or JSON.
+
+Start-up is kept lean, because a request's cost is mostly start-up on the
+polynomial cotree side: at module level this file imports only argparse,
+sys, pathlib and errors, and each handler imports the layer functions it
+calls when it runs, so a request loads only its own layer (`json` only
+under --json).  Handlers look the functions up in their defining modules
+at call time, so a rebinding of a module attribute (a test's monkeypatch,
+a tracer's wrapper) takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
-from .automorphism import automorphisms, check_no_z3
-from .cotree import (
-    _path_str,
-    decompose,
-    interpret_tree_from_graph,
-    least_module,
-    least_strong_module,
-    realize,
-    tree_lift,
-    validate_cotree,
-)
-from .embedding import (
-    antichain_graph,
-    antichain_params,
-    delete_vertex_cotree,
-    label_meet_embed,
-)
-from .errors import FormatError, GfreeError, NotCographError
-from .gadget import decode_psi, encode_phi, gadget_params
-from .graphs import Graph, complement, is_isomorphic
-from .textio import (
-    format_cotree,
-    format_graph,
-    parse_cotree,
-    parse_graph,
-    parse_plain_tree,
-)
-from .typeslogic import ConstantedGraph, type_fragment
+from .errors import Factory, FormatError, GfreeError, NotCographError, record
 
 __all__ = ["CommandResult", "run_command", "main"]
 
 
-@dataclass(frozen=True)
+@record
 class CommandResult:
     exit_code: int
     stdout: str
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """What a command found: the exit code, the JSON verdict, the text
     output, and the JSON witness (omitted when None) and stats."""
@@ -67,7 +45,7 @@ class Report:
     verdict: str
     text: str
     witness: object = None
-    stats: dict = field(default_factory=dict)
+    stats: dict = Factory(dict)
 
 
 # Parsed arguments that are not inputs of the command's result.
@@ -79,6 +57,8 @@ def _render(args: argparse.Namespace, report: Report, **fields) -> CommandResult
     add to or override the object's top-level keys."""
     if not args.json:
         return CommandResult(report.exit_code, report.text)
+    import json
+
     doc = {
         "command": args.command,
         "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
@@ -103,15 +83,20 @@ def _read(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str):
+    from .textio import parse_graph
+
     return parse_graph(_read(path))
 
 
-def _graph_stats(g: Graph) -> dict:
+def _graph_stats(g) -> dict:
     return {"vertices": g.n, "edges": g.m}
 
 
 def _cograph_command(args, print_tree: bool) -> Report:
+    from .cotree import decompose
+    from .textio import format_cotree
+
     g = _load_graph(args.graph)
     try:
         tree = decompose(g)
@@ -133,11 +118,17 @@ def _cmd_decompose(args) -> Report:
 
 
 def _cmd_realize(args) -> Report:
+    from .cotree import realize
+    from .textio import format_graph, parse_cotree
+
     g = realize(parse_cotree(_read(args.cotree)))
     return Report(0, "realized", format_graph(g), format_graph(g), _graph_stats(g))
 
 
 def _cmd_validate(args) -> Report:
+    from .cotree import _path_str, validate_cotree
+    from .textio import parse_cotree
+
     report = validate_cotree(parse_cotree(_read(args.cotree), strict=False))
     if report.ok:
         return Report(0, "valid", "valid\n")
@@ -152,6 +143,8 @@ def _cmd_validate(args) -> Report:
 
 
 def _cmd_iso(args) -> Report:
+    from .graphs import is_isomorphic
+
     found = is_isomorphic(_load_graph(args.first), _load_graph(args.second))
     if found is None:
         return Report(1, "not isomorphic", "not isomorphic\n")
@@ -160,6 +153,9 @@ def _cmd_iso(args) -> Report:
 
 
 def _cmd_embed(args) -> Report:
+    from .cotree import _path_str, decompose
+    from .embedding import label_meet_embed
+
     g = _load_graph(args.pattern)
     h = _load_graph(args.host)
     emb = label_meet_embed(decompose(g), decompose(h))
@@ -170,16 +166,23 @@ def _cmd_embed(args) -> Report:
 
 
 def _tree_report(verdict: str, tree) -> Report:
+    from .textio import format_cotree
+
     text = format_cotree(tree)
     return Report(0, verdict, text + "\n", text)
 
 
 def _cmd_delete_leaf(args) -> Report:
+    from .embedding import delete_vertex_cotree
+    from .textio import parse_cotree
+
     tree = parse_cotree(_read(args.cotree))
     return _tree_report("deleted", delete_vertex_cotree(tree, args.leaf))
 
 
 def _module_command(args, strong: bool) -> Report:
+    from .cotree import least_module, least_strong_module
+
     g = _load_graph(args.graph)
     op = least_strong_module if strong else least_module
     members = sorted(op(g, args.u, args.v).members)
@@ -195,18 +198,27 @@ def _cmd_strong_module(args) -> Report:
 
 
 def _cmd_interpret_tree(args) -> Report:
+    from .cotree import interpret_tree_from_graph
+
     return _tree_report("ok", interpret_tree_from_graph(_load_graph(args.graph)))
 
 
 def _cmd_tree_lift(args) -> Report:
+    from .cotree import tree_lift
+    from .textio import parse_plain_tree
+
     return _tree_report("ok", tree_lift(parse_plain_tree(_read(args.tree)), args.k))
 
 
-def _graph_report(verdict: str, g: Graph, stats: dict) -> Report:
+def _graph_report(verdict: str, g, stats: dict) -> Report:
+    from .textio import format_graph
+
     return Report(0, verdict, format_graph(g), format_graph(g), stats)
 
 
 def _cmd_antichain(args) -> Report:
+    from .embedding import antichain_graph, antichain_params
+
     forbidden = _load_graph(args.forbidden)
     g = antichain_graph(forbidden, args.indices)
     complemented, m = antichain_params(forbidden)
@@ -214,6 +226,8 @@ def _cmd_antichain(args) -> Report:
 
 
 def _cmd_types(args) -> Report:
+    from .typeslogic import ConstantedGraph, type_fragment
+
     g = _load_graph(args.base)
     forbidden = _load_graph(args.forbidden)
     target = ConstantedGraph(g, g.vertices)
@@ -222,6 +236,8 @@ def _cmd_types(args) -> Report:
 
 
 def _cmd_encode(args) -> Report:
+    from .gadget import encode_phi, gadget_params
+
     forbidden = _load_graph(args.forbidden)
     h = _load_graph(args.input)
     params = gadget_params(forbidden)
@@ -242,6 +258,9 @@ def _cmd_encode(args) -> Report:
 
 
 def _cmd_decode(args) -> Report:
+    from .gadget import decode_psi, gadget_params
+    from .graphs import complement
+
     forbidden = _load_graph(args.forbidden)
     e = _load_graph(args.encoded)
     params = gadget_params(forbidden)
@@ -250,6 +269,9 @@ def _cmd_decode(args) -> Report:
 
 
 def _cmd_roundtrip(args) -> Report:
+    from .gadget import decode_psi, encode_phi, gadget_params
+    from .graphs import is_isomorphic
+
     forbidden = _load_graph(args.forbidden)
     h = _load_graph(args.input)
     params = gadget_params(forbidden)
@@ -264,6 +286,8 @@ def _cmd_roundtrip(args) -> Report:
 
 
 def _cmd_aut(args) -> Report:
+    from .automorphism import automorphisms
+
     perms = automorphisms(_load_graph(args.graph))
     lines = [f"count {len(perms)}\n"]
     for p in perms:
@@ -273,6 +297,9 @@ def _cmd_aut(args) -> Report:
 
 
 def _cmd_no_z3(args) -> Report:
+    from .automorphism import check_no_z3
+    from .textio import format_graph
+
     report = check_no_z3(args.max_n)
     stats = {
         "examined": {str(n): count for n, count in report.examined},
@@ -294,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, func: Callable, help_text: str) -> argparse.ArgumentParser:
+    def cmd(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="structured output")

@@ -16,7 +16,6 @@ re-normalize to this order, so printed trees are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, TypeVar, Union
 
@@ -28,6 +27,7 @@ from .errors import (
     SameVertexError,
     TooLargeError,
     UnknownVertexError,
+    record,
 )
 from .graphs import (
     Graph,
@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Leaf:
     name: str
 
@@ -78,7 +78,7 @@ class Leaf:
         return 2
 
 
-@dataclass(frozen=True)
+@record
 class Inner:
     label: int
     children: tuple["CotreeNode", ...]
@@ -87,20 +87,20 @@ class Inner:
 CotreeNode = Union[Leaf, Inner]
 
 
-@dataclass(frozen=True)
+@record
 class PlainTree:
     """Unlabeled rooted tree, used as input to tree_lift."""
 
     children: tuple["PlainTree", ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     path: tuple[int, ...]
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     violations: tuple[Violation, ...]
 
@@ -109,7 +109,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@record
 class ModuleSet:
     """A least module or least strong module generated by a vertex pair."""
 

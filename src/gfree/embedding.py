@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .cotree import (
     CotreeNode,
@@ -30,6 +29,7 @@ from .errors import (
     ForbiddenInsideP4Error,
     LastLeafError,
     UnknownVertexError,
+    record,
 )
 from .graphs import (
     Graph,
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class TreeEmbedding:
     """Injective node map between two cotrees, as (source path, target path)
     pairs sorted by source path."""

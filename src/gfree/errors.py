@@ -1,10 +1,90 @@
-"""Exception hierarchy shared by all gfree modules.
+"""Exception hierarchy and value-record helper shared by all gfree modules.
 
 Every domain error raised by the package derives from GfreeError so the
-CLI can map any of them to exit code 2.
+CLI can map any of them to exit code 2.  `record` makes the package's
+frozen value classes without importing `dataclasses`, which would cost
+every CLI start-up its import and one generated-code `exec` per class.
 """
 
 from __future__ import annotations
+
+
+class Factory:
+    """A record field default made afresh for every instance: `Factory(dict)`."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def record(cls):
+    """Make cls a frozen value class over its annotated fields, in order.
+
+    As with a frozen dataclass, the constructor takes the fields by position
+    or keyword, fills in defaults (calling a Factory default once per
+    instance) and then calls __post_init__ if the class has one.  Instances
+    compare equal and hash by their field values, only against instances of
+    the same class; any assignment or deletion raises AttributeError; repr
+    is `Name(field=value, ...)`.  Fields live in the instance __dict__, so
+    functools.cached_property works on records.  A plain subclass keeps the
+    fields and may override __post_init__.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, default in defaults.items():
+        if isinstance(default, Factory):
+            delattr(cls, name)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self).__name__, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bind(cls_name: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values of one record construction, in field order."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls_name}() takes {len(names)} arguments but {len(args)} were given")
+    out = list(args)
+    for name in names[len(args) :]:
+        if name in kwargs:
+            out.append(kwargs.pop(name))
+        elif name in defaults:
+            default = defaults[name]
+            out.append(default.make() if isinstance(default, Factory) else default)
+        else:
+            raise TypeError(f"{cls_name}() missing required argument {name!r}")
+    if kwargs:
+        raise TypeError(f"{cls_name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+    return out
 
 
 class GfreeError(Exception):

@@ -14,11 +14,10 @@ construction and decoding runs on the pre-complement form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .embedding import antichain_params
-from .errors import MalformedEncodingError, NotIsomorphismError
+from .errors import MalformedEncodingError, NotIsomorphismError, record
 from .graphs import Graph, VertexMap, complement, make_graph
 
 __all__ = [
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GadgetParams:
     forbidden: Graph
     complemented: bool
@@ -44,7 +43,7 @@ class GadgetParams:
     hub_cycle: int  # n + 3
 
 
-@dataclass(frozen=True)
+@record
 class EncodedGraph:
     """Pre-complement encoding plus construction provenance.
 

@@ -20,7 +20,6 @@ Degrees come from int.bit_count, which needs Python 3.10 or newer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +31,7 @@ from .errors import (
     LengthMismatchError,
     SelfLoopError,
     UnknownEndpointError,
+    record,
 )
 
 __all__ = [
@@ -56,7 +56,7 @@ def _norm_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Finite simple undirected graph.
 
@@ -115,7 +115,7 @@ class Graph:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class VertexMap:
     """Injective partial map between vertex sets, stored as sorted pairs."""
 

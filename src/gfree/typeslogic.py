@@ -18,7 +18,6 @@ domains of target positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -29,6 +28,7 @@ from .errors import (
     NotAnExtensionError,
     UnknownConstantError,
     UnknownVertexError,
+    record,
 )
 from .graphs import (
     Graph,
@@ -53,7 +53,7 @@ __all__ = [
 Term = Union[int, str]
 
 
-@dataclass(frozen=True)
+@record
 class ExistentialFormula:
     """Purely existential conjunction of edge/non-edge literals."""
 
@@ -88,7 +88,7 @@ class ExistentialFormula:
         return f"E {head} . {body}"
 
 
-@dataclass(frozen=True)
+@record
 class ConstantedGraph:
     """Graph with an ordered tuple of distinguished vertices."""
 

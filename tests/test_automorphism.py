@@ -14,6 +14,7 @@ from gfree import (
     NotOrderThreeError,
     Permutation,
     TooLargeError,
+    VertexMap,
     automorphisms,
     check_no_z3,
     cograph_classes,
@@ -41,7 +42,9 @@ def _is_automorphism(g, p: Permutation) -> bool:
 
 
 def test_permutation_validation() -> None:
-    Permutation.from_dict({"a": "b", "b": "a"})
+    swap = Permutation.from_dict({"a": "b", "b": "a"})
+    assert repr(swap) == "Permutation(pairs=(('a', 'b'), ('b', 'a')))"
+    assert swap == Permutation(swap.pairs) and swap != VertexMap(swap.pairs)
     with pytest.raises(NotIsomorphismError):
         Permutation.from_dict({"a": "b", "b": "b"})
     with pytest.raises(NotIsomorphismError):

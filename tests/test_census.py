@@ -2,8 +2,11 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import pytest
+
 from gfree import (
     PlainTree,
+    TooLargeError,
     canonical_code,
     cograph_classes,
     cotree_shapes,
@@ -53,6 +56,14 @@ def _increasing_tree_codes(n: int) -> set[bytes]:
 def test_graph_class_counts() -> None:
     for n, want in GRAPH_COUNTS.items():
         assert len(graph_classes(n)) == want
+
+
+def test_graph_classes_rejects_more_than_7_vertices(monkeypatch) -> None:
+    # n = 8 would mark 2^28 edge sets under 8! permutations; the bound must
+    # be checked before any of that starts, so census may not touch itertools.
+    monkeypatch.setattr("gfree.census.itertools", None)
+    with pytest.raises(TooLargeError):
+        graph_classes(8)
 
 
 def test_graph_classes_are_pairwise_non_isomorphic() -> None:

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 from gfree import NoZ3Report, cycle_graph, format_graph, make_graph, parse_graph, path_graph
-from gfree.cli import run_command
+from gfree.cli import Report, run_command
 
 P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
 K2_TEXT = "2 1\na\nb\na b\n"
@@ -195,9 +195,16 @@ def test_no_z3(tmp_path: Path) -> None:
     assert payload["stats"]["total"] == 7
 
 
+def test_each_report_gets_its_own_stats() -> None:
+    first, second = Report(0, "ok", "ok\n"), Report(0, "ok", "ok\n")
+    assert first == second and first.stats == {} and first.stats is not second.stats
+    assert first.witness is None
+    assert Report(1, "no", "no\n", stats={"n": 1}).stats == {"n": 1}
+
+
 def test_no_z3_offender_text_ends_in_newline(monkeypatch) -> None:
     report = NoZ3Report(3, ((3, 4),), (cycle_graph(3),))
-    monkeypatch.setattr("gfree.cli.check_no_z3", lambda max_n: report)
+    monkeypatch.setattr("gfree.automorphism.check_no_z3", lambda max_n: report)
     res = run_command(["no-z3", "--max-n", "3"])
     assert res.exit_code == 1
     assert res.stdout == "order-3 automorphism group found on:\n" + format_graph(cycle_graph(3))

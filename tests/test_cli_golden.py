@@ -27,10 +27,10 @@ CORPUS = json.loads(DATA.read_text(encoding="utf-8"))
 
 PATCHES = {
     "no-z3 offenders": (
-        "gfree.cli.check_no_z3",
+        "gfree.automorphism.check_no_z3",
         lambda max_n: NoZ3Report(3, ((1, 1), (2, 2), (3, 4)), (cycle_graph(3),)),
     ),
-    "decode mismatch": ("gfree.cli.is_isomorphic", lambda g, h: None),
+    "decode mismatch": ("gfree.graphs.is_isomorphic", lambda g, h: None),
 }
 
 

@@ -12,6 +12,7 @@ from gfree import (
     InvalidCotreeError,
     Leaf,
     NotCographError,
+    PlainTree,
     SameVertexError,
     TooLargeError,
     UnknownVertexError,
@@ -145,6 +146,26 @@ def test_decompose_p3() -> None:
 
 def test_decompose_single_vertex() -> None:
     assert decompose(make_graph(["a"], [])) == Leaf("a")
+
+
+def test_tree_nodes_are_frozen_values() -> None:
+    leaf = Leaf("a")
+    assert leaf == Leaf("a") == Leaf(name="a")
+    assert hash(leaf) == hash(Leaf("a"))
+    assert leaf != ("a",) and leaf != Leaf("b")
+    assert repr(leaf) == "Leaf(name='a')"
+    assert repr(Inner(1, (leaf,))) == "Inner(label=1, children=(Leaf(name='a'),))"
+    with pytest.raises(AttributeError):
+        leaf.name = "b"
+    with pytest.raises(AttributeError):
+        del leaf.name
+    assert leaf.name == "a"
+    assert PlainTree() == PlainTree(()) and PlainTree().children == ()
+    ab = Inner(0, (leaf, Leaf("b")))
+    assert {ab, Inner(0, (Leaf("a"), Leaf("b")))} == {ab}
+    for args, kwargs in [((), {}), (("a", "b"), {}), (("a",), {"name": "a"}), ((), {"nam": "a"})]:
+        with pytest.raises(TypeError):
+            Leaf(*args, **kwargs)
 
 
 def test_decompose_p4_witness() -> None:

@@ -125,6 +125,12 @@ def test_graph_is_hashable_value() -> None:
     h = make_graph(["a", "b"], [("b", "a")])
     assert g == h
     assert hash(g) == hash(h)
+    assert g._masks == ({"a": 0, "b": 1}, (2, 1))  # cached on g alone
+    assert g == h and hash(g) == hash(h)
+    assert g != (g.vertices, g.edges)
+    with pytest.raises(AttributeError):
+        g.vertices = ("a",)
+    assert repr(make_graph(["a"], [])) == "Graph(vertices=('a',), edges=frozenset())"
 
 
 def test_edge_list_deterministic() -> None:

@@ -1,0 +1,168 @@
+"""CLI start-up loads only the layer a request runs, and the package
+re-exports its names lazily.
+
+Each CLI case runs `python -X importtime -m gfree.cli ...` in a fresh
+process and reads the modules that request imported from the import-time
+report on stderr.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gfree
+
+SRC = Path(gfree.__file__).resolve().parent.parent
+P3_TEXT = "3 2\na\nb\nc\na b\nb c\n"
+P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
+FILES = {
+    "p3.graph": P3_TEXT,
+    "p4.graph": P4_TEXT,
+    "k2.graph": "2 1\nx\ny\nx y\n",
+    "p3.tree": "(1 b (0 a c))\n",
+    "bad.tree": "(1 a (1 b c))\n",
+    "plain.tree": "(()())\n",
+}
+
+# Layers only some subcommands need; the cotree side must not pay for them.
+HEAVY = {
+    "gfree.typeslogic",
+    "gfree.gadget",
+    "gfree.automorphism",
+    "gfree.census",
+    "gfree.embedding",
+}
+LAYERS = HEAVY | {"gfree.graphs", "gfree.cotree", "gfree.textio"}
+
+COTREE_SIDE = [
+    ["recognize", "p3.graph"],
+    ["recognize", "p4.graph", "--json"],
+    ["decompose", "p3.graph"],
+    ["realize", "p3.tree"],
+    ["validate", "bad.tree"],
+    ["module", "p4.graph", "a", "b"],
+    ["strong-module", "p3.graph", "a", "c", "--json"],
+    ["interpret-tree", "p3.graph"],
+    ["tree-lift", "plain.tree"],
+    ["iso", "p3.graph", "p3.graph"],
+]
+OTHER = [
+    ["embed", "k2.graph", "p3.graph"],
+    ["delete-leaf", "p3.tree", "a"],
+    ["antichain", "--forbidden", "p4.graph", "0"],
+    ["encode", "--forbidden", "p4.graph", "--input", "k2.graph"],
+    ["decode", "--forbidden", "p4.graph", "--input", "k2.graph"],
+    ["roundtrip", "--forbidden", "p4.graph", "k2.graph"],
+    ["aut", "p3.graph"],
+    ["no-z3", "--max-n", "3", "--json"],
+]
+TYPES = ["types", "--base", "k2.graph", "--forbidden", "p4.graph", "-k", "1"]
+
+
+def _loaded(argv: list[str], cwd: Path) -> set[str]:
+    for name, text in FILES.items():
+        (cwd / name).write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gfree.cli", *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("argv", COTREE_SIDE, ids=lambda a: " ".join(a))
+def test_cotree_side_request_loads_no_heavy_layer(argv: list[str], tmp_path: Path) -> None:
+    loaded = _loaded(argv, tmp_path)
+    assert "gfree.cotree" in loaded or "gfree.graphs" in loaded
+    assert not loaded & HEAVY
+    assert "dataclasses" not in loaded
+
+
+def test_types_loads_only_its_layer(tmp_path: Path) -> None:
+    loaded = _loaded(TYPES, tmp_path)
+    assert "gfree.typeslogic" in loaded
+    assert not loaded & (HEAVY - {"gfree.typeslogic"})
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", OTHER, ids=lambda a: a[0])
+def test_no_request_loads_dataclasses(argv: list[str], tmp_path: Path) -> None:
+    assert "dataclasses" not in _loaded(argv, tmp_path)
+
+
+def test_help_loads_no_layer(tmp_path: Path) -> None:
+    loaded = _loaded(["--help"], tmp_path)
+    assert not loaded & LAYERS
+    assert not loaded & {"dataclasses", "json"}
+
+
+def test_bare_package_import_loads_no_submodule() -> None:
+    code = "import sys, gfree; print(sorted(m for m in sys.modules if m.startswith('gfree.')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+# Every name the package exported eagerly before it became lazy, by module.
+EXPORTS = {
+    "automorphism": "NoZ3Report Permutation automorphisms check_no_z3 order3_to_order2",
+    "census": "cograph_classes cotree_shapes graph_classes rooted_trees",
+    "cotree": "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation "
+    "canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph "
+    "leaf_names leaf_paths least_module least_strong_module meet_path "
+    "module_closure_oracle module_from_meets normalize plain_tree_code realize "
+    "tree_lift validate_cotree",
+    "embedding": "TreeEmbedding antichain_graph antichain_params cograph_induced_via_trees "
+    "cycle_formula_holds delete_vertex_cotree label_meet_embed max_induced_cycle",
+    "errors": "BadPartialError BadSizeError BaseNotFreeError DuplicateVertexError "
+    "EmptyGraphError EmptyIndexSetError ForbiddenInsideP4Error FormatError GfreeError "
+    "InvalidCotreeError LastLeafError LengthMismatchError MalformedEncodingError "
+    "NotAnExtensionError NotCographError NotIsomorphismError NotOrderThreeError "
+    "SameVertexError SelfLoopError TooLargeError UnknownConstantError "
+    "UnknownEndpointError UnknownVertexError",
+    "gadget": "EncodedGraph GadgetParams decode_psi encode_phi gadget_params "
+    "natural_iso_lambda transport_iso_phi transport_iso_psi",
+    "graphs": "Graph VertexMap combine complement connected_components cycle_graph "
+    "find_induced_embedding induced_subgraph is_free is_isomorphic labeled_chain_sum "
+    "make_graph path_graph relabel",
+    "textio": "format_cotree format_graph format_plain_tree parse_cotree parse_graph "
+    "parse_plain_tree",
+    "typeslogic": "ConstantedGraph ExistentialFormula enumerate_extensions eval_existential "
+    "phi_formula type_fragment",
+}
+
+
+def test_every_exported_name_resolves_to_its_defining_object() -> None:
+    pairs = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+    assert len(pairs) == 98
+    for module, name in pairs:
+        namespace: dict = {}
+        exec(f"from gfree import {name}", namespace)
+        defining = __import__(f"gfree.{module}", fromlist=[name])
+        assert namespace[name] is getattr(defining, name), name
+        assert name in dir(gfree)
+    assert {"automorphism", "cotree", "textio"} <= set(dir(gfree))
+    assert gfree.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error() -> None:
+    with pytest.raises(AttributeError):
+        gfree.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from gfree import no_such_name", {})
+

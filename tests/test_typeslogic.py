@@ -76,6 +76,7 @@ def test_constanted_graph_validation() -> None:
     from gfree import DuplicateVertexError, UnknownVertexError
 
     ConstantedGraph(P3, ("g0",))
+    assert ConstantedGraph(P3) == ConstantedGraph(P3, ()) == ConstantedGraph(graph=P3)
     with pytest.raises(UnknownVertexError):
         ConstantedGraph(P3, ("zz",))
     with pytest.raises(DuplicateVertexError):
