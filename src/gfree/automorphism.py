@@ -11,7 +11,7 @@ from __future__ import annotations
 from .census import cograph_classes
 from .cotree import decompose, leaf_paths, meet_path
 from .errors import NotIsomorphismError, NotOrderThreeError, TooLargeError, record
-from .graphs import Graph, VertexMap, _embeddings
+from .graphs import Graph, VertexMap, _embeddings, _is_isomorphism
 
 __all__ = [
     "Permutation",
@@ -73,12 +73,6 @@ def automorphisms(g: Graph) -> list[Permutation]:
     return [Permutation.from_dict(f) for f in _embeddings(g, g, {})]
 
 
-def _is_automorphism(g: Graph, f: Permutation) -> bool:
-    if f.domain != frozenset(g.vertices):
-        return False
-    return all(g.has_edge(f[u], f[v]) for u, v in g.edges)
-
-
 def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     """Build an involution from an order-3 automorphism of a cograph.
 
@@ -87,7 +81,7 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     into the three sibling subtrees A, B, C holding a, b, c and the rest D.
     The involution applies f on A, its inverse on B, and fixes C and D.
     """
-    if not _is_automorphism(g, f):
+    if not _is_isomorphism(g, g, f.as_dict()):
         raise NotIsomorphismError("the given map is not an automorphism")
     if f.is_identity or not f.after(f).after(f).is_identity:
         raise NotOrderThreeError("the given automorphism does not have order 3")
@@ -117,7 +111,7 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
         else:
             mapping[u] = u
     out = Permutation.from_dict(mapping)
-    if not _is_automorphism(g, out) or out.is_identity or not out.after(out).is_identity:
+    if not _is_isomorphism(g, g, mapping) or out.is_identity or not out.after(out).is_identity:
         raise RuntimeError("constructed map is not an involutive automorphism")
     return out
 

@@ -33,9 +33,9 @@ from .graphs import (
     Graph,
     _bits,
     _components,
+    complement,
     find_induced_embedding,
     induced_subgraph,
-    make_graph,
     path_graph,
 )
 
@@ -271,7 +271,7 @@ def decompose(g: Graph) -> CotreeNode:
     complement disconnected -> 1-node over co-components.  A graph on >= 2
     vertices that is both connected and co-connected contains an induced
     P4, which is returned as the witness.  The split runs on the adjacency
-    masks of g, depth first with an explicit stack, and builds a subgraph
+    rows of g, depth first with an explicit stack, and builds a subgraph
     only at such a prime part, to search it for the P4; parts are visited
     in the order of their first declared vertex, so the witness is the
     first P4 of the first prime part.
@@ -279,9 +279,9 @@ def decompose(g: Graph) -> CotreeNode:
     if g.n == 0:
         raise EmptyGraphError("cannot decompose the empty graph")
     names = g.vertices
-    rows = g._masks[1]
+    rows = g.rows
     full = (1 << g.n) - 1
-    co_rows = [full & ~row & ~(1 << i) for i, row in enumerate(rows)]
+    co_rows = complement(g).rows
     preorder: list[tuple[int, int, int]] = []  # (mask, label or 2, child count)
     stack = [full]
     while stack:
@@ -313,18 +313,29 @@ def decompose(g: Graph) -> CotreeNode:
 
 
 def realize(t: CotreeNode) -> Graph:
-    """Graph on the leaf names; edge iff the leaves' meet is labeled 1."""
+    """Graph on the leaf names, in preorder; edge iff the leaves' meet is
+    labeled 1.  Every subtree holds consecutive positions, so a 1-node joins
+    each child's span to the rest of its own."""
     ensure_valid(t)
-    edges: list[tuple[str, str]] = []
+    names: list[str] = []
+    rows: list[int] = []
 
-    def join(node: Inner, groups: list[list[str]]) -> list[str]:
+    def leaf(node: Leaf) -> tuple[int, int]:
+        names.append(node.name)
+        rows.append(0)
+        return len(names) - 1, len(names)
+
+    def join(node: Inner, spans: list[tuple[int, int]]) -> tuple[int, int]:
+        lo, hi = spans[0][0], spans[-1][1]
         if node.label == 1:
-            for gi, gj in itertools.combinations(groups, 2):
-                edges.extend((u, v) for u in gi for v in gj)
-        return [v for grp in groups for v in grp]
+            for a, b in spans:
+                others = (1 << hi) - (1 << lo) ^ (1 << b) - (1 << a)
+                for p in range(a, b):
+                    rows[p] |= others
+        return lo, hi
 
-    names = _fold(t, lambda leaf: [leaf.name], join)
-    return make_graph(names, edges)
+    _fold(t, leaf, join)
+    return Graph(tuple(names), tuple(rows))
 
 
 def cograph_iso(g: Graph, h: Graph) -> bool:
@@ -334,7 +345,7 @@ def cograph_iso(g: Graph, h: Graph) -> bool:
 
 def _pair_guard(g: Graph, u: str, v: str) -> None:
     for x in (u, v):
-        if not g.has_vertex(x):
+        if x not in g.index:
             raise UnknownVertexError(f"unknown vertex: {x!r}")
     if u == v:
         raise SameVertexError(f"need two distinct vertices, got {u!r} twice")
@@ -366,8 +377,7 @@ def least_module(g: Graph, u: str, v: str) -> ModuleSet:
     """
     _pair_guard(g, u, v)
     decompose(g)  # raises NotCograph on a P4
-    index, rows = g._masks
-    return ModuleSet(_members(g, _module_mask(rows, index[u], index[v])), "least-module")
+    return ModuleSet(_members(g, _module_mask(g.rows, g.index[u], g.index[v])), "least-module")
 
 
 def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
@@ -378,8 +388,8 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
     """
     _pair_guard(g, u, v)
     decompose(g)  # raises NotCograph on a P4
-    index, rows = g._masks
-    i, j = index[u], index[v]
+    rows = g.rows
+    i, j = g.index[u], g.index[v]
     members = _module_mask(rows, i, j)
     for w in range(g.n):
         if not members >> w & 1 and not _module_mask(rows, i, w) >> j & 1:
@@ -391,7 +401,7 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
 def _module_masks(g: Graph) -> tuple[int, ...]:
     """Bitmasks of all nonempty modules, ascending."""
     n = g.n
-    nbr = g._masks[1]
+    nbr = g.rows
     out = []
     for mask in range(1, 1 << n):
         for w in range(n):
@@ -433,8 +443,7 @@ def module_closure_oracle(g: Graph, u: str, v: str, strong: bool) -> ModuleSet:
             for w in g.vertices:
                 if w in members:
                     continue
-                nbrs = g.neighbors(w)
-                hits = sum(1 for a in members if a in nbrs)
+                hits = sum(1 for a in members if g.has_edge(w, a))
                 if 0 < hits < len(members):
                     members.add(w)
                     changed = True
@@ -503,7 +512,7 @@ def interpret_tree_from_graph(g: Graph) -> CotreeNode:
         if len(s) == 1:
             return Leaf(next(iter(s)))
         u, v = gen_pair[s]
-        label = 1 if g.has_edge(u, v) else 0
+        label = g.rows[g.index[u]] >> g.index[v] & 1
         return Inner(label, tuple(build(c) for c in children[s]))
 
     return normalize(build(root))

@@ -84,7 +84,8 @@ def label_meet_embed(source: CotreeNode, target: CotreeNode) -> TreeEmbedding | 
 
     Nodes are assigned in source preorder, candidates tried in target
     preorder; pruning by per-label subtree counts.  Leaf pairs must keep
-    their meet label.
+    their meet label.  The search backtracks with an explicit stack, so
+    its depth is not bounded by the interpreter's recursion limit.
     """
     ensure_valid(source)
     ensure_valid(target)
@@ -116,25 +117,26 @@ def label_meet_embed(source: CotreeNode, target: CotreeNode) -> TreeEmbedding | 
                     return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(s_nodes):
-            return True
-        sp = s_nodes[i][0]
-        for tp, _ in t_nodes:
-            if tp in used:
-                continue
-            if fits(sp, tp):
+    # Depth-first over source nodes with an explicit stack: tried[i] is the
+    # target index that source node i took, and a backtrack resumes there.
+    tried: list[int] = []
+    start = 0
+    while len(tried) < len(s_nodes):
+        sp = s_nodes[len(tried)][0]
+        for k in range(start, len(t_nodes)):
+            tp = t_nodes[k][0]
+            if tp not in used and fits(sp, tp):
                 assigned[sp] = tp
                 used.add(tp)
-                if extend(i + 1):
-                    return True
-                del assigned[sp]
-                used.remove(tp)
-        return False
-
-    if extend(0):
-        return TreeEmbedding(tuple(sorted(assigned.items())))
-    return None
+                tried.append(k)
+                start = 0
+                break
+        else:
+            if not tried:
+                return None
+            start = tried.pop() + 1
+            used.remove(assigned.pop(s_nodes[len(tried)][0]))
+    return TreeEmbedding(tuple(sorted(assigned.items())))
 
 
 def cograph_induced_via_trees(g: Graph, h: Graph) -> bool:

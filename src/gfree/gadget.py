@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .embedding import antichain_params
 from .errors import MalformedEncodingError, NotIsomorphismError, record
-from .graphs import Graph, VertexMap, complement, make_graph
+from .graphs import Graph, VertexMap, _bits, _components, _is_isomorphism, complement, make_graph
 
 __all__ = [
     "GadgetParams",
@@ -63,9 +63,6 @@ class EncodedGraph:
     @cached_property
     def deliverable(self) -> Graph:
         return complement(self.graph) if self.params.complemented else self.graph
-
-    def hub_map(self) -> dict[str, str]:
-        return dict(self.hub_of)
 
 
 def gadget_params(forbidden: Graph) -> GadgetParams:
@@ -114,8 +111,8 @@ def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
 
     path_internals: list[tuple[str, str, tuple[str, ...]]] = []
     marker_cycles: list[tuple[str, tuple[str, ...]]] = []
-    for v, w in itertools.combinations(h.vertices, 2):
-        marker_len = params.edge_cycle if h.has_edge(v, w) else params.non_edge_cycle
+    for (i, v), (j, w) in itertools.combinations(enumerate(h.vertices), 2):
+        marker_len = params.edge_cycle if h.rows[i] >> j & 1 else params.non_edge_cycle
         internals: list[str] = []
         for _ in range(params.path_len):
             p = fresh()
@@ -137,43 +134,47 @@ def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
     )
 
 
-def _marker_cycle_of(e: Graph, anchor: str) -> frozenset[str]:
-    """The unique degree-2 cycle through an anchor, or MalformedEncoding."""
-    cycles: set[frozenset[str]] = set()
-    for x in e.neighbors(anchor):
-        if e.degree(x) != 2:
+def _marker_cycle_of(e: Graph, degree: list[int], anchor: int) -> int:
+    """Mask of the unique degree-2 cycle through an anchor position, or
+    MalformedEncoding.  Neighbours are walked in declared order."""
+    rows, names = e.rows, e.vertices
+    cycles: set[int] = set()
+    for x in _bits(rows[anchor]):
+        if degree[x] != 2:
             continue
         prev, cur = anchor, x
-        chain = {anchor, x}
-        while e.degree(cur) == 2:
-            nxt = [y for y in e.neighbors(cur) if y != prev]
-            if len(nxt) != 1:  # pragma: no cover - impossible for degree 2
-                raise MalformedEncodingError(f"broken chain at {cur!r}")
-            prev, cur = cur, nxt[0]
-            chain.add(cur)
+        chain = 1 << anchor | 1 << x
+        while degree[cur] == 2:
+            prev, cur = cur, (rows[cur] ^ 1 << prev).bit_length() - 1
+            chain |= 1 << cur
         if cur != anchor:
             raise MalformedEncodingError(
-                f"degree-2 chain from {anchor!r} ends at {cur!r}, not a marker cycle"
+                f"degree-2 chain from {names[anchor]!r} ends at {names[cur]!r}, "
+                "not a marker cycle"
             )
-        cycles.add(frozenset(chain))
+        cycles.add(chain)
     if len(cycles) != 1:
         raise MalformedEncodingError(
-            f"anchor {anchor!r} lies on {len(cycles)} marker cycles, needs exactly 1"
+            f"anchor {names[anchor]!r} lies on {len(cycles)} marker cycles, needs exactly 1"
         )
-    return next(iter(cycles))
+    return cycles.pop()
 
 
 def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]:
     """Decode a pre-complement encoding; returns the graph and its hubs.
 
     Decoded vertices keep their hub names, in the encoding's declared order.
+    The walks run on the rows, in declared order, so the first defect found
+    in a malformed encoding does not depend on hashing.
     """
     if e.n == 0:
         return make_graph([], []), []
-    if any(e.degree(v) < 2 for v in e.vertices):
+    rows, names = e.rows, e.vertices
+    degree = [row.bit_count() for row in rows]
+    if min(degree) < 2:
         raise MalformedEncodingError("encodings have minimum degree 2")
 
-    anchors = [v for v in e.vertices if e.degree(v) > 2]
+    anchors = [i for i, d in enumerate(degree) if d > 2]
     if not anchors:
         # a single hub cycle encodes the one-vertex graph
         if e.n != params.hub_cycle:
@@ -181,24 +182,15 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
                 f"anchor-free encoding must be one {params.hub_cycle}-cycle, "
                 f"got {e.n} vertices"
             )
-        start = e.vertices[0]
-        prev, cur = start, min(e.neighbors(start))
-        seen = {start, cur}
-        while cur != start:
-            nxt = [y for y in e.neighbors(cur) if y != prev]
-            if len(nxt) != 1:
-                raise MalformedEncodingError("anchor-free encoding is not one cycle")
-            prev, cur = cur, nxt[0]
-            seen.add(cur)
-        if len(seen) != e.n:
+        if len(_components(rows, (1 << e.n) - 1)) != 1:
             raise MalformedEncodingError("anchor-free encoding is not one cycle")
-        return make_graph([start], []), [start]
+        return make_graph(names[:1], []), [names[0]]
 
-    covered: set[str] = set()
-    kind: dict[str, int] = {}
+    covered = 0
+    kind: dict[int, int] = {}
     for a in anchors:
-        cyc = _marker_cycle_of(e, a)
-        length = len(cyc)
+        cyc = _marker_cycle_of(e, degree, a)
+        length = cyc.bit_count()
         if length == params.hub_cycle:
             kind[a] = 2
         elif length == params.edge_cycle:
@@ -207,39 +199,32 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
             kind[a] = 0
         else:
             raise MalformedEncodingError(
-                f"marker cycle of length {length} at {a!r} matches no parameter"
+                f"marker cycle of length {length} at {names[a]!r} matches no parameter"
             )
-        covered.update(cyc)
+        covered |= cyc
     hubs = [a for a in anchors if kind[a] == 2]
-    internals = {a for a in anchors if kind[a] != 2}
     if not hubs:
         raise MalformedEncodingError("no hub anchors found")
+    hub_mask = sum(1 << a for a in hubs)
+    internals = sum(1 << a for a in anchors if kind[a] != 2)
 
-    hub_set = set(hubs)
-    pair_kind: dict[frozenset[str], int] = {}
-    pathed: set[str] = set()
+    pair_kind: dict[tuple[int, int], int] = {}
+    pathed = 0
     for h1 in hubs:
-        for x in e.neighbors(h1):
-            if x in hub_set:
+        for x in _bits(rows[h1] & (hub_mask | internals)):  # the rest fill h1's cycle
+            if hub_mask >> x & 1:
                 raise MalformedEncodingError("two hubs are adjacent")
-            if x not in internals:
-                continue  # hub marker cycle filler
-            walk = [x]
+            inner = [x]
             prev, cur = h1, x
-            while cur in internals:
-                nxt = [
-                    y
-                    for y in e.neighbors(cur)
-                    if y != prev and (y in internals or y in hub_set)
-                ]
-                if len(nxt) != 1:
+            while internals >> cur & 1:
+                nxt = rows[cur] & ~(1 << prev) & (hub_mask | internals)
+                if nxt.bit_count() != 1:
                     raise MalformedEncodingError(
-                        f"path through {cur!r} does not continue uniquely"
+                        f"path through {names[cur]!r} does not continue uniquely"
                     )
-                prev, cur = cur, nxt[0]
-                walk.append(cur)
-            h2 = cur
-            inner = walk[:-1]
+                prev, cur = cur, nxt.bit_length() - 1
+                inner.append(cur)
+            h2 = inner.pop()
             if h2 == h1:
                 raise MalformedEncodingError("path returns to its own hub")
             lengths = {kind[p] for p in inner}
@@ -250,11 +235,11 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
                     f"path carries {len(inner)} internal vertices, "
                     f"expected {params.path_len}"
                 )
-            key = frozenset((h1, h2))
+            key = (min(h1, h2), max(h1, h2))
             edge_flag = lengths.pop()
             if pair_kind.setdefault(key, edge_flag) != edge_flag:
                 raise MalformedEncodingError("conflicting paths for one hub pair")
-            pathed.update(inner)
+            pathed |= sum(1 << p for p in inner)
 
     expected_pairs = len(hubs) * (len(hubs) - 1) // 2
     if len(pair_kind) != expected_pairs:
@@ -263,11 +248,12 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
         )
     if pathed != internals:
         raise MalformedEncodingError("internal anchors not all used by paths")
-    if covered | set(anchors) != set(e.vertices):
+    if covered | hub_mask | internals != (1 << e.n) - 1:
         raise MalformedEncodingError("vertices outside every marker cycle and path")
 
-    edges = [tuple(sorted(key)) for key, flag in pair_kind.items() if flag == 1]
-    return make_graph(hubs, edges), hubs
+    hub_names = [names[h] for h in hubs]
+    edges = [(names[a], names[b]) for (a, b), flag in pair_kind.items() if flag == 1]
+    return make_graph(hub_names, edges), hub_names
 
 
 def decode_psi(e: Graph, params: GadgetParams) -> Graph:
@@ -275,18 +261,8 @@ def decode_psi(e: Graph, params: GadgetParams) -> Graph:
     return _decode_with_hubs(e, params)[0]
 
 
-def _check_iso(g: Graph, h: Graph, mapping: dict[str, str]) -> bool:
-    if set(mapping) != set(g.vertices):
-        return False
-    if set(mapping.values()) != set(h.vertices):
-        return False
-    if g.m != h.m:
-        return False
-    return all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
-
-
 def _ensure_iso(g: Graph, h: Graph, f: VertexMap, what: str) -> None:
-    if not _check_iso(g, h, f.as_dict()):
+    if not _is_isomorphism(g, h, f.as_dict()):
         raise NotIsomorphismError(f"{what} is not an isomorphism")
 
 

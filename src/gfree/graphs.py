@@ -5,21 +5,26 @@ identity is an opaque string; operations that mint vertices use the
 deterministic scheme "g0", "g1", ... so outputs are reproducible byte for
 byte.
 
+A graph is its vertex tuple and its adjacency rows: rows[i] is an int whose
+bit j is set when vertices[i] and vertices[j] are adjacent.  Two graphs are
+equal when both agree.  make_graph validates names and edges given from
+outside; every other operation builds rows from rows.  The edge set (pairs
+of names) is derived from the rows on demand, and each graph caches one
+vertex -> position dict.
+
 One search engine serves induced embeddings, freeness, isomorphism and (in
-automorphism.py) automorphism enumeration.  It works on positional
-bitmasks: each graph lazily caches its vertex positions and one adjacency
-int per vertex, and a pattern vertex's candidates are an intersection of
-host masks.  The search is iterative, so its depth is not bounded by the
-interpreter's recursion limit.  Pattern vertices are assigned in declared
-order and candidates tried in the host's declared order, so the witness is
-the first one in declared order, which makes every search deterministic.
-Connected components and the complement are read off the same masks.
-Degrees come from int.bit_count, which needs Python 3.10 or newer.
+automorphism.py) automorphism enumeration.  A pattern vertex's candidates
+are an intersection of host rows.  The search is iterative, so its depth is
+not bounded by the interpreter's recursion limit.  Pattern vertices are
+assigned in declared order and candidates tried in the host's declared
+order, so the witness is the first one in declared order, which makes
+every search deterministic.  Connected components and the complement are
+read off the same rows.  Degrees come from int.bit_count, which needs
+Python 3.10 or newer.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,67 +57,52 @@ __all__ = [
 ]
 
 
-def _norm_edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 @record
 class Graph:
     """Finite simple undirected graph.
 
     vertices: declared order matters for search determinism.
-    edges: canonical set of pairs, each stored once with endpoints sorted.
+    rows: rows[i] is the neighbour mask of vertices[i], bit j standing for
+    vertices[j]; rows are symmetric and loop-free.
     """
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    rows: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.rows) >> 1
 
     @cached_property
-    def _adj(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    def index(self) -> dict[str, int]:
+        """Vertex -> declared position."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def _masks(self) -> tuple[dict[str, int], tuple[int, ...]]:
-        """Vertex -> declared position, and per position its neighbours as
-        an int whose bit i stands for vertices[i]."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        adj = [0] * len(index)
-        for u, v in self.edges:
-            i, j = index[u], index[v]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return index, tuple(adj)
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """Every edge once, as a pair of names in sorted order."""
+        names = self.vertices
+        return frozenset(
+            (names[i], names[j]) if names[i] <= names[j] else (names[j], names[i])
+            for i, j in _edge_positions(self.rows)
+        )
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._adj
+        return v in self.index
 
     def has_edge(self, u: str, v: str) -> bool:
-        return _norm_edge(u, v) in self.edges
+        index = self.index
+        return u in index and v in index and bool(self.rows[index[u]] >> index[v] & 1)
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self._adj[v]
+    def neighbors(self, v: str) -> tuple[str, ...]:
+        return tuple(self.vertices[j] for j in _bits(self.rows[self.index[v]]))
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
-    def edge_list(self) -> list[tuple[str, str]]:
-        """Edges ordered by vertex position, endpoints in declared order."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        out = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in self.edges]
-        out.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
-        return out
+        return self.rows[self.index[v]].bit_count()
 
 
 @record
@@ -169,53 +159,55 @@ class VertexMap:
         return VertexMap(tuple(p for p in self.pairs if p[0] in keepset))
 
 
-def make_graph(names: Sequence[str], edge_pairs: Iterable[tuple[str, str]]) -> Graph:
-    """Build a canonical Graph, validating names and edges."""
-    seen: set[str] = set()
+def _positions(names: Iterable[str]) -> dict[str, int]:
+    """Name -> position, rejecting a repeated name."""
+    index: dict[str, int] = {}
     for name in names:
-        if name in seen:
+        if name in index:
             raise DuplicateVertexError(f"duplicate vertex name: {name!r}")
-        seen.add(name)
-    edges: set[tuple[str, str]] = set()
+        index[name] = len(index)
+    return index
+
+
+def make_graph(names: Sequence[str], edge_pairs: Iterable[tuple[str, str]]) -> Graph:
+    """Build a Graph from names and edges, validating both."""
+    index = _positions(names)
+    rows = [0] * len(index)
     for u, v in edge_pairs:
         if u == v:
             raise SelfLoopError(f"self-loop at {u!r}")
-        if u not in seen:
-            raise UnknownEndpointError(f"unknown endpoint: {u!r}")
-        if v not in seen:
-            raise UnknownEndpointError(f"unknown endpoint: {v!r}")
-        edges.add(_norm_edge(u, v))
-    return Graph(tuple(names), frozenset(edges))
+        try:
+            i, j = index[u], index[v]
+        except KeyError as missing:
+            raise UnknownEndpointError(f"unknown endpoint: {missing.args[0]!r}") from None
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(tuple(index), tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Same vertices; edge iff non-edge in g."""
-    names = g.vertices
-    rows = g._masks[1]
     full = (1 << g.n) - 1
-    edges = set()
-    for i, u in enumerate(names):
-        later = full & ~rows[i] & ~((2 << i) - 1)  # non-neighbours declared after u
-        edges.update(_norm_edge(u, names[j]) for j in _bits(later))
-    return Graph(names, frozenset(edges))
+    return Graph(g.vertices, tuple(full ^ row ^ 1 << i for i, row in enumerate(g.rows)))
 
 
 def relabel(g: Graph, mapping: Mapping[str, str]) -> Graph:
     """Rename vertices through an injective total mapping."""
-    names = [mapping[v] for v in g.vertices]
-    edges = [(mapping[u], mapping[v]) for u, v in g.edges]
-    return make_graph(names, edges)
+    return Graph(tuple(_positions(mapping[v] for v in g.vertices)), g.rows)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     """Induced subgraph on the given vertices, in declared order."""
-    keepset = set(keep)
-    for v in keepset:
-        if not g.has_vertex(v):
+    index = g.index
+    mask = 0
+    for v in keep:
+        if v not in index:
             raise UnknownEndpointError(f"unknown vertex: {v!r}")
-    names = tuple(v for v in g.vertices if v in keepset)
-    edges = frozenset(e for e in g.edges if e[0] in keepset and e[1] in keepset)
-    return Graph(names, edges)
+        mask |= 1 << index[v]
+    kept = list(_bits(mask))
+    new = {i: 1 << k for k, i in enumerate(kept)}
+    rows = tuple(sum(new[j] for j in _bits(g.rows[i] & mask)) for i in kept)
+    return Graph(tuple(g.vertices[i] for i in kept), rows)
 
 
 def _disjointify(parts: Sequence[Graph], prefixes: Sequence[str]) -> list[Graph]:
@@ -254,16 +246,17 @@ def labeled_chain_sum(parts: Sequence[Graph], labels: Sequence[int]) -> Graph:
         if lab not in (0, 1):
             raise ValueError(f"labels must be 0 or 1, got {lab!r}")
     disjoint = _disjointify(parts, [f"p{i}." for i in range(len(parts))])
-    names = [v for p in disjoint for v in p.vertices]
-    edges: list[tuple[str, str]] = [e for p in disjoint for e in p.edges]
-    for i, j in itertools.combinations(range(len(disjoint)), 2):
-        if labels[i] == 1:
-            edges.extend(
-                (u, v)
-                for u in disjoint[i].vertices
-                for v in disjoint[j].vertices
-            )
-    return make_graph(names, edges)
+    names = tuple(v for p in disjoint for v in p.vertices)
+    total = (1 << len(names)) - 1
+    rows: list[int] = []
+    joined = 0  # the earlier parts whose label joins them to every later part
+    for p, lab in zip(disjoint, labels):
+        start, end = len(rows), len(rows) + p.n
+        later = total >> end << end if lab else 0
+        rows.extend(row << start | joined | later for row in p.rows)
+        if lab:
+            joined |= (1 << end) - (1 << start)
+    return Graph(names, tuple(rows))
 
 
 def path_graph(n: int) -> Graph:
@@ -291,6 +284,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _edge_positions(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every edge as positions (i, j), i < j, ordered by i and then by j."""
+    for i, row in enumerate(rows):
+        above = bin(row >> i)[:1:-1]  # above[k] is bit i + k
+        yield from ((i, i + k) for k, c in enumerate(above) if c == "1")
+
+
+def _is_isomorphism(g: Graph, h: Graph, mapping: Mapping[str, str]) -> bool:
+    """True iff mapping is a bijection from g's vertices onto h's under
+    which every row of g becomes the row of its image."""
+    if g.n != h.n or set(mapping) != set(g.vertices) or set(mapping.values()) != set(h.vertices):
+        return False
+    image = [h.index[mapping[v]] for v in g.vertices]
+    return all(
+        sum(1 << image[j] for j in _bits(row)) == h.rows[image[i]]
+        for i, row in enumerate(g.rows)
+    )
+
+
 def _components(rows: Sequence[int], mask: int) -> list[int]:
     """Connected components of the positions in mask, where rows[i] is the
     neighbour mask of position i, ordered by their lowest position."""
@@ -313,7 +325,7 @@ def connected_components(g: Graph) -> list[tuple[str, ...]]:
     names = g.vertices
     return [
         tuple(names[i] for i in _bits(comp))
-        for comp in _components(g._masks[1], (1 << g.n) - 1)
+        for comp in _components(g.rows, (1 << g.n) - 1)
     ]
 
 
@@ -322,9 +334,9 @@ def _check_partial(pattern: Graph, host: Graph, partial: Mapping[str, str]) -> N
     if len(set(dsts)) != len(dsts):
         raise BadPartialError("partial map is not injective")
     for u, v in partial.items():
-        if u not in pattern._masks[0]:
+        if u not in pattern.index:
             raise BadPartialError(f"partial maps unknown pattern vertex {u!r}")
-        if v not in host._masks[0]:
+        if v not in host.index:
             raise BadPartialError(f"partial maps to unknown host vertex {v!r}")
 
 
@@ -341,8 +353,7 @@ def _embeddings(
     out in lexicographic order of their images.  The search keeps the
     untried candidates of every depth on an explicit stack.
     """
-    pindex, padj = pattern._masks
-    hindex, hadj = host._masks
+    padj, hadj = pattern.rows, host.rows
     slack = host.n - pattern.n
     by_degree: dict[int, int] = {}
     for j, row in enumerate(hadj):
@@ -362,7 +373,7 @@ def _embeddings(
             fits_of[d] = f
         fits.append(f)
 
-    pairs = [(pindex[u], hindex[v]) for u, v in partial.items()]
+    pairs = [(pattern.index[u], host.index[v]) for u, v in partial.items()]
     used = 0
     # The fixed part must itself be consistent.
     for p, h in pairs:
@@ -383,7 +394,7 @@ def _embeddings(
         return cand
 
     pnames, hnames = pattern.vertices, host.vertices
-    order = [pindex[v] for v in pnames if v not in partial]
+    order = [p for p, v in enumerate(pnames) if v not in partial]
     if not order:
         yield {pnames[p]: hnames[h] for p, h in pairs}
         return
@@ -442,9 +453,7 @@ def is_isomorphic(g: Graph, h: Graph) -> VertexMap | None:
     """Witness isomorphism or None; degree-sequence pruning, result exact."""
     if g.n != h.n or g.m != h.m:
         return None
-    if sorted(g.degree(v) for v in g.vertices) != sorted(
-        h.degree(v) for v in h.vertices
-    ):
+    if sorted(row.bit_count() for row in g.rows) != sorted(row.bit_count() for row in h.rows):
         return None
     # A total induced embedding between equal-sized graphs is an isomorphism.
     return find_induced_embedding(g, h)

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .cotree import CotreeNode, Inner, Leaf, PlainTree, _fold
 from .errors import FormatError
-from .graphs import Graph, make_graph
+from .graphs import Graph, _edge_positions, make_graph
 
 __all__ = [
     "parse_graph",
@@ -75,9 +75,10 @@ def format_graph(g: Graph) -> str:
     for v in g.vertices:
         if not _NAME_RE.match(v):
             raise FormatError(f"vertex name {v!r} is not serializable")
+    names = g.vertices
     out = [f"{g.n} {g.m}"]
-    out.extend(g.vertices)
-    out.extend(f"{u} {v}" for u, v in g.edge_list())
+    out.extend(names)
+    out.extend(f"{names[i]} {names[j]}" for i, j in _edge_positions(g.rows))
     return "\n".join(out) + "\n"
 
 

@@ -9,8 +9,9 @@ vertices, equal values allowed, and a vertex is never adjacent to itself.
 The k-bounded type fragment of a target collects the formulas of all
 forbidden-free extensions that hold in it.
 
-Deduplication and evaluation run on the graphs' adjacency masks
-(Graph._masks): extensions are bucketed by a mask invariant before the
+Deduplication and evaluation run on the graphs' adjacency rows
+(Graph.rows): each candidate extension is its parent's rows plus one new
+row, extensions are bucketed by a mask invariant before the
 exact pairwise isomorphism check, and evaluation searches over int-mask
 domains of target positions.
 """
@@ -36,7 +37,6 @@ from .graphs import (
     find_induced_embedding,
     induced_subgraph,
     is_free,
-    make_graph,
 )
 
 __all__ = [
@@ -109,9 +109,8 @@ def _iso_key(g: Graph, pinned: int) -> tuple:
     """Invariant of g under isomorphisms fixing its first `pinned` vertices:
     the edge count and, for each other vertex, the sorted pairs of its
     neighbours among the pinned ones (as a mask) and its degree."""
-    rows = g._masks[1]
     low = (1 << pinned) - 1
-    return g.m, tuple(sorted((row & low, row.bit_count()) for row in rows[pinned:]))
+    return g.m, tuple(sorted((row & low, row.bit_count()) for row in g.rows[pinned:]))
 
 
 def _iso_fixing(g: Graph, h: Graph, pinned: tuple[str, ...]) -> bool:
@@ -151,9 +150,10 @@ def enumerate_extensions(
         kept: list[Graph] = []
         for g in current:
             names = g.vertices + (new_name,)
-            for mask in range(1 << g.n):
-                fresh = [(new_name, g.vertices[i]) for i in _bits(mask)]
-                cand = make_graph(names, [*g.edges, *fresh])
+            bit = 1 << g.n
+            for mask in range(bit):
+                rows = [row | bit if mask >> i & 1 else row for i, row in enumerate(g.rows)]
+                cand = Graph(names, (*rows, mask))
                 if not is_free(cand, forbidden):
                     continue
                 key = _iso_key(cand, base.graph.n)
@@ -181,12 +181,14 @@ def phi_formula(ext: ConstantedGraph, base: ConstantedGraph) -> ExistentialFormu
     restricted = induced_subgraph(ext_g, base_verts)
     if restricted.edges != base.graph.edges:
         raise NotAnExtensionError("extension disagrees with the base on base edges")
-    fresh = [v for v in ext_g.vertices if v not in set(base_verts)]
+    index, rows = ext_g.index, ext_g.rows
+    fresh = [index[v] for v in ext_g.vertices if v not in set(base_verts)]
     literals: list[tuple[Term, Term, bool]] = []
     for v in base_verts:
-        literals.extend((v, i, ext_g.has_edge(v, x)) for i, x in enumerate(fresh))
+        row = rows[index[v]]
+        literals.extend((v, i, bool(row >> x & 1)) for i, x in enumerate(fresh))
     for (i, x), (j, y) in itertools.combinations(enumerate(fresh), 2):
-        literals.append((i, j, ext_g.has_edge(x, y)))
+        literals.append((i, j, bool(rows[x] >> y & 1)))
     return ExistentialFormula(len(fresh), tuple(base_verts), tuple(literals))
 
 
@@ -206,7 +208,7 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
     for c in phi.constants:
         if c not in have:
             raise UnknownConstantError(f"constant {c!r} missing from the target")
-    index, rows = target.graph._masks
+    index, rows = target.graph.index, target.graph.rows
     full = (1 << len(rows)) - 1
 
     def side(v: int, pos: bool) -> int:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
+import gfree
 from gfree import NoZ3Report, cycle_graph, format_graph, make_graph, parse_graph, path_graph
 from gfree.cli import Report, run_command
 
@@ -179,6 +183,29 @@ def test_decode_malformed_is_input_error(tmp_path: Path) -> None:
     assert run_command(["decode", "--forbidden", c3, "--input", bad]).exit_code == 2
 
 
+def test_decode_error_text_does_not_depend_on_hash_seed(tmp_path: Path) -> None:
+    # K4 on A X Y Z with every edge subdivided is no encoding: the first
+    # degree-2 chain from anchor A, walked in declared order, ends at X.
+    hubs = ["A", "X", "Y", "Z"]
+    pairs = [(u, v) for i, u in enumerate(hubs) for v in hubs[i + 1 :]]
+    names = hubs + [f"s{u}{v}" for u, v in pairs]
+    edges = [e for u, v in pairs for e in ((u, f"s{u}{v}"), (f"s{u}{v}", v))]
+    k4sub = _write(tmp_path, "k4sub.graph", format_graph(make_graph(names, edges)))
+    c3 = _write(tmp_path, "c3.graph", C3_TEXT)
+    src = str(Path(gfree.__file__).resolve().parent.parent)
+    runs = set()
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfree.cli", "decode", "--forbidden", c3, "--input", k4sub],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        runs.add((proc.returncode, proc.stdout))
+    assert runs == {(2, "error: degree-2 chain from 'A' ends at 'X', not a marker cycle\n")}
+
+
 def test_aut(tmp_path: Path) -> None:
     p3 = _write(tmp_path, "p3.graph", P3_TEXT)
     res = run_command(["aut", p3])
@@ -228,6 +255,13 @@ def test_iso_of_long_paths_runs_without_recursion(tmp_path: Path) -> None:
     assert sorted(witness) == sorted(p)
     assert sorted(witness.values()) == sorted(q)
     assert all(second.has_edge(witness[u], witness[v]) for u, v in first.edges)
+
+
+def test_embed_of_large_flat_cotree_runs_without_recursion(tmp_path: Path) -> None:
+    names = [f"v{i}" for i in range(1000)]
+    flat = _write(tmp_path, "flat.graph", format_graph(make_graph(names, [])))
+    res = run_command(["embed", flat, flat])
+    assert (res.exit_code, res.stdout) == (0, "embeds\n")
 
 
 def _caterpillar_text(depth: int) -> str:

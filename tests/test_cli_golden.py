@@ -14,11 +14,15 @@ Re-record the expected outputs after an intended change with
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import gfree
 from gfree import NoZ3Report, cycle_graph
 from gfree.cli import _build_parser, run_command
 
@@ -53,6 +57,39 @@ def _case_id(case: dict) -> str:
 def test_golden_output(case: dict, tmp_path: Path) -> None:
     res = _run(case, tmp_path)
     assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"])
+
+
+# Replays the whole corpus in a fresh interpreter and prints the results as
+# JSON; argv[1] is this directory.
+_REPLAY = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_cli_golden import CORPUS, _run
+out = []
+for case in CORPUS["cases"]:
+    with tempfile.TemporaryDirectory() as tmp:
+        res = _run(case, Path(tmp))
+    out.append([res.exit_code, res.stdout])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_golden_outputs_do_not_depend_on_hash_seed(seed: str) -> None:
+    # The pytest process runs under one random hash seed, so a dependency
+    # on set or dict order of strings would show up only as a flake here.
+    src = str(Path(gfree.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPLAY, str(DATA.parent)],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [[case["exit_code"], case["stdout"]] for case in CORPUS["cases"]]
+    assert json.loads(proc.stdout) == expected
 
 
 def test_corpus_covers_every_subcommand_in_both_modes() -> None:

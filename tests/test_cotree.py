@@ -77,8 +77,8 @@ def _oracle_components(g: Graph) -> list[tuple[str, ...]]:
 
 
 def _oracle_complement(g: Graph) -> Graph:
-    edges = {(u, v) if u <= v else (v, u) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)}
-    return Graph(g.vertices, frozenset(edges))
+    non_edges = [(u, v) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)]
+    return make_graph(g.vertices, non_edges)
 
 
 def _oracle_code(node) -> bytes:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -34,6 +35,8 @@ from gfree import (
     path_graph,
     complement,
 )
+from gfree.cotree import iter_nodes, meet_path
+from gfree.embedding import TreeEmbedding, _is_ancestor, _subtree_counts
 
 P3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K3_PLUS_K1 = make_graph("abcd", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -56,6 +59,77 @@ def test_label_meet_embed_witness_shape() -> None:
 
 def test_label_meet_embed_single_leaf() -> None:
     assert label_meet_embed(Leaf("a"), parse_cotree("(0 x y)")) is not None
+
+
+def _recursive_label_meet_embed(source, target) -> TreeEmbedding | None:
+    """label_meet_embed as it was when it recursed once per source node:
+    the reference for the explicit-stack search's first witness."""
+    s_nodes = list(iter_nodes(source))
+    t_nodes = list(iter_nodes(target))
+    s_counts = _subtree_counts(source)
+    t_counts = _subtree_counts(target)
+    s_label = {p: n.label for p, n in s_nodes}
+    t_label = {p: n.label for p, n in t_nodes}
+    assigned: dict = {}
+    used: set = set()
+
+    def fits(sp, tp) -> bool:
+        if t_label[tp] != s_label[sp]:
+            return False
+        sc, tc = s_counts[sp], t_counts[tp]
+        if any(tc[lab] < sc[lab] for lab in (0, 1, 2)):
+            return False
+        for qp, qt in assigned.items():
+            if _is_ancestor(qp, sp) != _is_ancestor(qt, tp):
+                return False
+            if _is_ancestor(sp, qp) != _is_ancestor(tp, qt):
+                return False
+            if s_label[sp] == 2 and s_label[qp] == 2:
+                if s_label[meet_path(sp, qp)] != t_label[meet_path(tp, qt)]:
+                    return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(s_nodes):
+            return True
+        sp = s_nodes[i][0]
+        for tp, _ in t_nodes:
+            if tp not in used and fits(sp, tp):
+                assigned[sp] = tp
+                used.add(tp)
+                if extend(i + 1):
+                    return True
+                del assigned[sp]
+                used.remove(tp)
+        return False
+
+    return TreeEmbedding(tuple(sorted(assigned.items()))) if extend(0) else None
+
+
+def _random_cograph(rng: random.Random, n: int):
+    parts = [make_graph([f"v{i}"], []) for i in range(n)]
+    while len(parts) > 1:
+        a = parts.pop(rng.randrange(len(parts)))
+        b = parts.pop(rng.randrange(len(parts)))
+        parts.append(combine(a, b, rng.choice(["disjoint", "join"])))
+    return parts[0]
+
+
+def test_label_meet_embed_matches_recursive_search_randomized() -> None:
+    rng = random.Random(20261019)
+    found = 0
+    for _ in range(300):
+        host = _random_cograph(rng, rng.randint(1, 12))
+        if rng.random() < 0.5:
+            keep = rng.sample(host.vertices, rng.randint(1, min(6, host.n)))
+            pattern = induced_subgraph(host, keep)
+        else:
+            pattern = _random_cograph(rng, rng.randint(1, 6))
+        source, target = decompose(pattern), decompose(host)
+        got = label_meet_embed(source, target)
+        assert got == _recursive_label_meet_embed(source, target)
+        found += got is not None
+    assert 150 < found < 300  # both verdicts are exercised
 
 
 def test_cograph_induced_examples() -> None:

@@ -8,6 +8,7 @@ import pytest
 from gfree import (
     BadPartialError,
     BadSizeError,
+    ConstantedGraph,
     DuplicateVertexError,
     EmptyGraphError,
     Graph,
@@ -18,16 +19,23 @@ from gfree import (
     complement,
     connected_components,
     cycle_graph,
+    decompose,
+    enumerate_extensions,
     find_induced_embedding,
     graph_classes,
     induced_subgraph,
     is_free,
     is_isomorphic,
     labeled_chain_sum,
+    leaf_paths,
     make_graph,
+    meet_path,
     path_graph,
+    realize,
     relabel,
 )
+from gfree.cotree import node_at
+from gfree.textio import format_graph
 
 
 def _first_embedding_oracle(
@@ -125,17 +133,17 @@ def test_graph_is_hashable_value() -> None:
     h = make_graph(["a", "b"], [("b", "a")])
     assert g == h
     assert hash(g) == hash(h)
-    assert g._masks == ({"a": 0, "b": 1}, (2, 1))  # cached on g alone
+    assert g.rows == (2, 1) and g.index == {"a": 0, "b": 1}  # index cached on g alone
     assert g == h and hash(g) == hash(h)
-    assert g != (g.vertices, g.edges)
+    assert g != (g.vertices, g.rows)
     with pytest.raises(AttributeError):
         g.vertices = ("a",)
-    assert repr(make_graph(["a"], [])) == "Graph(vertices=('a',), edges=frozenset())"
+    assert repr(make_graph(["a"], [])) == "Graph(vertices=('a',), rows=(0,))"
 
 
 def test_edge_list_deterministic() -> None:
     g = make_graph(["c", "a", "b"], [("b", "c"), ("a", "c")])
-    assert g.edge_list() == [("c", "a"), ("c", "b")]
+    assert format_graph(g) == "3 2\nc\na\nb\nc a\nc b\n"
 
 
 def test_complement_examples() -> None:
@@ -361,3 +369,134 @@ def test_vertex_map_operations() -> None:
 def test_vertex_map_rejects_non_injective() -> None:
     with pytest.raises(BadPartialError):
         VertexMap.from_dict({"a": "x", "b": "x"})
+
+
+# Row invariants: every constructor builds symmetric, loop-free rows inside
+# n bits, and its edges equal the edge set computed here on name pairs,
+# without reading any rows.
+def _assert_valid_rows(g: Graph, expected_edges: set[tuple[str, str]]) -> None:
+    n = len(g.vertices)
+    assert len(g.rows) == n
+    for i, row in enumerate(g.rows):
+        assert 0 <= row < 1 << n and not row >> i & 1
+        assert all(row >> j & 1 == g.rows[j] >> i & 1 for j in range(n))
+    assert g.edges == expected_edges and g.m == len(expected_edges)
+
+
+def _pair(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u <= v else (v, u)
+
+
+def _random_spec(rng: random.Random) -> tuple[list[str], set[tuple[str, str]]]:
+    """Names in a shuffled declared order, n 0-14, density 0.1-0.9."""
+    n = rng.randint(0, 14)
+    names = [f"v{i}" for i in rng.sample(range(40), n)]
+    density = rng.uniform(0.1, 0.9)
+    return names, {_pair(u, v) for u, v in combinations(names, 2) if rng.random() < density}
+
+
+def _specs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        names, edges = _random_spec(rng)
+        # each edge once, in either orientation, in a shuffled order
+        given = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+        rng.shuffle(given)
+        yield rng, names, edges, make_graph(names, given)
+
+
+def test_rows_of_make_graph_complement_induced_and_relabel() -> None:
+    for rng, names, edges, g in _specs(20261020, 200):
+        _assert_valid_rows(g, edges)
+        assert g.vertices == tuple(names)
+        every = {_pair(u, v) for u, v in combinations(names, 2)}
+        _assert_valid_rows(complement(g), every - edges)
+        keep = set(rng.sample(names, rng.randint(0, len(names))))
+        sub = induced_subgraph(g, keep)
+        assert sub.vertices == tuple(v for v in names if v in keep)
+        _assert_valid_rows(sub, {e for e in edges if e[0] in keep and e[1] in keep})
+        new = {v: f"w{i}" for i, v in enumerate(rng.sample(names, len(names)))}
+        renamed = relabel(g, new)
+        assert renamed.vertices == tuple(new[v] for v in names)
+        _assert_valid_rows(renamed, {_pair(new[u], new[v]) for u, v in edges})
+
+
+def test_rows_of_labeled_chain_sum() -> None:
+    specs = list(_specs(20261021, 120))
+    rng = random.Random(20261022)
+    for _ in range(60):
+        chosen = rng.sample(specs, rng.randint(1, 4))
+        labels = [rng.randint(0, 1) for _ in chosen]
+        every = [v for _, names, _, _ in chosen for v in names]
+        pre = [f"p{i}." if len(set(every)) != len(every) else "" for i in range(len(chosen))]
+        blocks = [[p + v for v in names] for p, (_, names, _, _) in zip(pre, chosen)]
+        edges = {_pair(p + u, p + v) for p, (_, _, es, _) in zip(pre, chosen) for u, v in es}
+        for i, j in combinations(range(len(chosen)), 2):
+            if labels[i]:
+                edges |= {_pair(u, v) for u in blocks[i] for v in blocks[j]}
+        out = labeled_chain_sum([g for *_, g in chosen], labels)
+        assert out.vertices == tuple(v for block in blocks for v in block)
+        _assert_valid_rows(out, edges)
+
+
+def test_rows_of_realize_path_and_cycle() -> None:
+    rng = random.Random(20261023)
+    for _ in range(100):
+        parts = [make_graph([f"v{i}"], []) for i in range(rng.randint(1, 14))]
+        while len(parts) > 1:
+            a = parts.pop(rng.randrange(len(parts)))
+            b = parts.pop(rng.randrange(len(parts)))
+            parts.append(combine(a, b, rng.choice(["disjoint", "join"])))
+        tree = decompose(parts[0])
+        paths = leaf_paths(tree)
+        edges = {
+            _pair(u, v)
+            for u, v in combinations(paths, 2)
+            if node_at(tree, meet_path(paths[u], paths[v])).label == 1
+        }
+        _assert_valid_rows(realize(tree), edges)
+    for n in range(1, 15):
+        names = [f"g{i}" for i in range(n)]
+        _assert_valid_rows(path_graph(n), {_pair(names[i], names[i + 1]) for i in range(n - 1)})
+        if n >= 3:
+            _assert_valid_rows(
+                cycle_graph(n), {_pair(names[i], names[(i + 1) % n]) for i in range(n)}
+            )
+
+
+def test_rows_of_extension_candidates(monkeypatch) -> None:
+    import gfree.typeslogic as typeslogic
+
+    seen: list[Graph] = []
+
+    def spy(g: Graph, forbidden: Graph) -> bool:
+        seen.append(g)
+        return is_free(g, forbidden)
+
+    monkeypatch.setattr(typeslogic, "is_free", spy)
+    rng = random.Random(20261024)
+    for forbidden in (path_graph(4), cycle_graph(3), cycle_graph(4), path_graph(5)):
+        for _ in range(6):
+            n = rng.randint(0, 3)
+            names = [f"b{i}" for i in rng.sample(range(n), n)]
+            base_g = make_graph(names, [e for e in combinations(names, 2) if rng.random() < 0.5])
+            if not is_free(base_g, forbidden):
+                continue
+            base = ConstantedGraph(base_g, tuple(names[:1]))
+            seen.clear()
+            k = rng.randint(1, 3)
+            out = enumerate_extensions(base, forbidden, k)
+            # Every candidate as the old construction built it: the parent's
+            # names and edges plus the new vertex joined to a subset of them.
+            expected = []
+            for level in range(k):
+                parents = [e.graph for e in out if e.graph.n == base_g.n + level]
+                for parent in parents:
+                    new = str(level)
+                    for mask in range(1 << parent.n):
+                        fresh = [(new, v) for i, v in enumerate(parent.vertices) if mask >> i & 1]
+                        names = parent.vertices + (new,)
+                        expected.append(make_graph(names, [*parent.edges, *fresh]))
+            assert seen[1:] == expected
+            for cand, want in zip(seen[1:], expected):
+                _assert_valid_rows(cand, set(want.edges))
