@@ -9,11 +9,15 @@ vertices, equal values allowed, and a vertex is never adjacent to itself.
 The k-bounded type fragment of a target collects the formulas of all
 forbidden-free extensions that hold in it.
 
-Deduplication and evaluation run on the graphs' adjacency rows
-(Graph.rows): each candidate extension is its parent's rows plus one new
-row, extensions are bucketed by a mask invariant before the
-exact pairwise isomorphism check, and evaluation searches over int-mask
-domains of target positions.
+Enumeration, deduplication and evaluation run on the graphs' adjacency
+rows (Graph.rows).  Each candidate extension is its parent's rows plus one
+new row.  A parent is already forbidden-free, so the candidates' freeness
+comes from one pass per parent: the traces that the embeddings of F minus
+one vertex leave in it (_free_masks).  Candidates are bucketed by a mask
+invariant before the exact isomorphism check fixing the base, which calls
+the search engine directly.  Evaluation searches over int-mask domains of
+target positions, and type_fragment skips every extension whose parent's
+formula already failed, since the child's formula contains it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
 from .graphs import (
     Graph,
     _bits,
-    find_induced_embedding,
+    _embeddings,
     induced_subgraph,
     is_free,
 )
@@ -114,24 +118,52 @@ def _iso_key(g: Graph, pinned: int) -> tuple:
 
 
 def _iso_fixing(g: Graph, h: Graph, pinned: tuple[str, ...]) -> bool:
+    """True iff some isomorphism g -> h fixes every pinned vertex; the
+    search runs on _embeddings directly, without the partial-map checks of
+    find_induced_embedding."""
     if g.n != h.n or g.m != h.m:
         return False
-    partial = {p: p for p in pinned}
-    return find_induced_embedding(g, h, partial) is not None
+    return next(_embeddings(g, h, {p: p for p in pinned}), None) is not None
 
 
-def enumerate_extensions(
-    base: ConstantedGraph, forbidden: Graph, k: int
-) -> list[ConstantedGraph]:
-    """All forbidden-free extensions of base by at most k fresh vertices.
+def _pieces(forbidden: Graph) -> list[tuple[Graph, tuple[str, ...]]]:
+    """For each vertex r of the forbidden graph F: F - r and r's neighbours."""
+    names = forbidden.vertices
+    return [
+        (induced_subgraph(forbidden, names[:i] + names[i + 1:]), forbidden.neighbors(r))
+        for i, r in enumerate(names)
+    ]
 
-    Fresh vertices are named "0" .. str(k-1); level by level, every
-    adjacency pattern to the previous graph is tried and duplicates are
-    removed up to isomorphisms fixing the base pointwise: a candidate is
-    checked only against the kept graphs with its _iso_key, and kept when
-    none is isomorphic to it.  Order is deterministic: by level, then by
-    discovery.
+
+def _free_masks(g: Graph, pieces: list[tuple[Graph, tuple[str, ...]]]) -> list[int]:
+    """Neighbour masks M, ascending, for which g plus one new vertex adjacent
+    to exactly M is free of F, given that g is F-free and pieces is
+    _pieces(F).
+
+    A copy of F in the candidate must use the new vertex, as some r.  So
+    each induced embedding of F - r into g leaves a trace (S, T): S is its
+    image and T the image of r's neighbours, and M is blocked iff some trace
+    has M & S == T.
     """
+    index = g.index
+    traces: set[tuple[int, int]] = set()
+    for piece, nbrs in pieces:
+        for phi in _embeddings(piece, g, {}):
+            image = 0
+            for w in phi.values():
+                image |= 1 << index[w]
+            touched = 0
+            for u in nbrs:
+                touched |= 1 << index[phi[u]]
+            traces.add((image, touched))
+    return [m for m in range(1 << g.n) if not any(m & s == t for s, t in traces)]
+
+
+def _extension_tree(
+    base: ConstantedGraph, forbidden: Graph, k: int
+) -> tuple[tuple[ConstantedGraph, ...], tuple[int, ...]]:
+    """The extensions of enumerate_extensions, each with the position (in
+    the same tuple) of the kept graph it was built from; -1 for the base."""
     if k < 0:
         raise BadSizeError(f"need k >= 0, got {k}")
     if not is_free(base.graph, forbidden):
@@ -141,30 +173,50 @@ def enumerate_extensions(
             raise DuplicateVertexError(
                 f"base vertex {str(i)!r} collides with the fresh-name scheme"
             )
+    pieces = _pieces(forbidden)
     pinned = base.graph.vertices
-    out = [base]
-    current = [base.graph]
+    graphs = [base.graph]
+    parents = [-1]
+    start = 0
     for level in range(k):
         new_name = str(level)
         buckets: dict[tuple, list[Graph]] = {}
-        kept: list[Graph] = []
-        for g in current:
+        end = len(graphs)
+        for parent in range(start, end):
+            g = graphs[parent]
             names = g.vertices + (new_name,)
             bit = 1 << g.n
-            for mask in range(bit):
+            for mask in _free_masks(g, pieces):
                 rows = [row | bit if mask >> i & 1 else row for i, row in enumerate(g.rows)]
                 cand = Graph(names, (*rows, mask))
-                if not is_free(cand, forbidden):
-                    continue
                 key = _iso_key(cand, base.graph.n)
                 bucket = buckets.setdefault(key, [])
                 if any(_iso_fixing(cand, rep, pinned) for rep in bucket):
                     continue
                 bucket.append(cand)
-                kept.append(cand)
-        out.extend(ConstantedGraph(g, base.constants) for g in kept)
-        current = kept
-    return out
+                graphs.append(cand)
+                parents.append(parent)
+        start = end
+    exts = (base, *(ConstantedGraph(g, base.constants) for g in graphs[1:]))
+    return exts, tuple(parents)
+
+
+def enumerate_extensions(
+    base: ConstantedGraph, forbidden: Graph, k: int
+) -> list[ConstantedGraph]:
+    """All forbidden-free extensions of base by at most k fresh vertices.
+
+    Fresh vertices are named "0" .. str(k-1); level by level, every
+    adjacency pattern to each graph kept at the previous level is tried.
+    Freeness comes from one pass per parent graph (_free_masks): the parent
+    is F-free, so only copies of F through the new vertex are looked for,
+    as traces of the embeddings of F minus one vertex.  Duplicates are
+    removed up to isomorphisms fixing the base pointwise: a candidate is
+    checked only against the kept graphs with its _iso_key, and kept when
+    none is isomorphic to it.  Order is deterministic: by level, then by
+    discovery.
+    """
+    return list(_extension_tree(base, forbidden, k)[0])
 
 
 def phi_formula(ext: ConstantedGraph, base: ConstantedGraph) -> ExistentialFormula:
@@ -258,24 +310,37 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
     return search()
 
 
-@lru_cache(maxsize=None)
+# type_fragment asks for one base per target, and a caller comparing
+# several targets (criterion 7 of the acceptance suite) reuses one base.
+@lru_cache(maxsize=8)
 def _cached_extensions(
     base: ConstantedGraph, forbidden: Graph, k: int
-) -> tuple[ConstantedGraph, ...]:
-    return tuple(enumerate_extensions(base, forbidden, k))
+) -> tuple[tuple[ConstantedGraph, ...], tuple[int, ...]]:
+    return _extension_tree(base, forbidden, k)
 
 
 def type_fragment(
     target: ConstantedGraph, forbidden: Graph, k: int
 ) -> list[ExistentialFormula]:
     """Formulas of all forbidden-free extensions of the constants' induced
-    subgraph by at most k fresh vertices that hold in the target."""
+    subgraph by at most k fresh vertices that hold in the target.
+
+    An extension's formula holds every literal of the formula of the graph
+    it was built from, under the same variable names, so an extension whose
+    parent's formula fails in the target fails too and is not evaluated.
+    """
     base = ConstantedGraph(
         induced_subgraph(target.graph, target.constants), target.constants
     )
+    exts, parents = _cached_extensions(base, forbidden, k)
+    holds: list[bool] = []
     out = []
-    for ext in _cached_extensions(base, forbidden, k):
-        phi = phi_formula(ext, base)
-        if eval_existential(phi, target):
-            out.append(phi)
+    for ext, parent in zip(exts, parents):
+        ok = parent < 0 or holds[parent]
+        if ok:
+            phi = phi_formula(ext, base)
+            ok = eval_existential(phi, target)
+            if ok:
+                out.append(phi)
+        holds.append(ok)
     return out

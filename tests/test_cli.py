@@ -140,6 +140,16 @@ def test_types(tmp_path: Path) -> None:
     assert res.stdout.splitlines() == ["true", "E x0 . !(a-x0)"]
 
 
+def test_types_rejects_empty_forbidden(tmp_path: Path) -> None:
+    # With no vertex to remove, the forbidden graph leaves no traces, so
+    # only the freeness check of the base can refuse it.
+    k1 = _write(tmp_path, "k1.graph", "1 0\na\n")
+    empty = _write(tmp_path, "empty.graph", "0 0\n")
+    for k in ("0", "2"):
+        res = run_command(["types", "--base", k1, "--forbidden", empty, "-k", k])
+        assert (res.exit_code, res.stdout) == (2, "error: freeness needs a nonempty forbidden graph\n")
+
+
 def test_encode_decode_roundtrip(tmp_path: Path) -> None:
     c3 = _write(tmp_path, "c3.graph", C3_TEXT)
     k2 = _write(tmp_path, "k2.graph", K2_TEXT)

@@ -464,18 +464,17 @@ def test_rows_of_realize_path_and_cycle() -> None:
             )
 
 
-def test_rows_of_extension_candidates(monkeypatch) -> None:
-    import gfree.typeslogic as typeslogic
+def test_rows_of_extension_candidates() -> None:
+    """Each candidate as make_graph builds it from the parent's names and
+    edges plus the new vertex joined to a subset of them: the trace verdict
+    on every mask equals is_free on that graph, and every kept graph has
+    exactly its rows."""
+    from gfree.typeslogic import _extension_tree, _free_masks, _pieces
 
-    seen: list[Graph] = []
-
-    def spy(g: Graph, forbidden: Graph) -> bool:
-        seen.append(g)
-        return is_free(g, forbidden)
-
-    monkeypatch.setattr(typeslogic, "is_free", spy)
     rng = random.Random(20261024)
+    blocked = 0
     for forbidden in (path_graph(4), cycle_graph(3), cycle_graph(4), path_graph(5)):
+        pieces = _pieces(forbidden)
         for _ in range(6):
             n = rng.randint(0, 3)
             names = [f"b{i}" for i in rng.sample(range(n), n)]
@@ -483,20 +482,24 @@ def test_rows_of_extension_candidates(monkeypatch) -> None:
             if not is_free(base_g, forbidden):
                 continue
             base = ConstantedGraph(base_g, tuple(names[:1]))
-            seen.clear()
             k = rng.randint(1, 3)
-            out = enumerate_extensions(base, forbidden, k)
-            # Every candidate as the old construction built it: the parent's
-            # names and edges plus the new vertex joined to a subset of them.
-            expected = []
-            for level in range(k):
-                parents = [e.graph for e in out if e.graph.n == base_g.n + level]
-                for parent in parents:
-                    new = str(level)
-                    for mask in range(1 << parent.n):
-                        fresh = [(new, v) for i, v in enumerate(parent.vertices) if mask >> i & 1]
-                        names = parent.vertices + (new,)
-                        expected.append(make_graph(names, [*parent.edges, *fresh]))
-            assert seen[1:] == expected
-            for cand, want in zip(seen[1:], expected):
-                _assert_valid_rows(cand, set(want.edges))
+            exts, parents = _extension_tree(base, forbidden, k)
+            assert list(exts) == enumerate_extensions(base, forbidden, k)
+            built: dict[int, list[Graph]] = {}
+            for p, ext in enumerate(exts):
+                parent = ext.graph
+                if parent.n == base_g.n + k:
+                    continue
+                new = str(parent.n - base_g.n)
+                built[p] = []
+                for mask in range(1 << parent.n):
+                    fresh = [(new, v) for i, v in enumerate(parent.vertices) if mask >> i & 1]
+                    built[p].append(make_graph(parent.vertices + (new,), [*parent.edges, *fresh]))
+                free = [mask for mask, cand in enumerate(built[p]) if is_free(cand, forbidden)]
+                assert _free_masks(parent, pieces) == free
+                blocked += len(built[p]) - len(free)
+            for ext, p in zip(exts[1:], parents[1:]):
+                want = built[p][ext.graph.rows[-1]]
+                assert ext.graph == want
+                _assert_valid_rows(ext.graph, set(want.edges))
+    assert blocked > 1000

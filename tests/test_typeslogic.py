@@ -19,6 +19,7 @@ from gfree import (
     eval_existential,
     find_induced_embedding,
     graph_classes,
+    induced_subgraph,
     is_free,
     is_isomorphic,
     make_graph,
@@ -32,6 +33,7 @@ from gfree.typeslogic import _iso_fixing
 P3 = path_graph(3)
 C3 = cycle_graph(3)
 K1_A = make_graph(["a"], [])
+PAW = make_graph(["p", "q", "r", "s"], [("p", "q"), ("q", "r"), ("p", "r"), ("r", "s")])
 EMPTY = ConstantedGraph(make_graph([], []), ())
 
 
@@ -279,18 +281,23 @@ def _extensions_keyless(
 
 def test_enumerate_extensions_matches_keyless_dedup() -> None:
     """The keyless reference is quadratic in the graphs kept per level, so
-    n + k stays at most 6."""
+    n + k stays at most 6.  K1 leaves nothing after removing a vertex, so
+    every candidate holds it; C5 is larger than most candidates here."""
+    k1 = make_graph(["f"], [])
+    k2 = make_graph(["f", "g"], [("f", "g")])
+    two_k1 = make_graph(["f", "g"], [])
     forbidden = [P3, C3, path_graph(4), cycle_graph(4), path_graph(5)]
+    forbidden += [k1, k2, two_k1, PAW, cycle_graph(5)]
     rng = random.Random(23)
-    cases = 0
-    while cases < 60:
-        n, k = rng.randint(0, 4), rng.randint(0, 3)
-        f = rng.choice(forbidden)
-        base = _random_constanted(rng, ["a", "b", "c", "d"][:n], 0.5)
-        if n + k > 6 or not is_free(base.graph, f):
-            continue
-        cases += 1
-        assert enumerate_extensions(base, f, k) == _extensions_keyless(base, f, k)
+    for f in forbidden:
+        cases = 0
+        while cases < 12:
+            n, k = rng.randint(0, 4), rng.randint(0, 3)
+            base = _random_constanted(rng, ["a", "b", "c", "d"][:n], 0.5)
+            if n + k > 6 or not is_free(base.graph, f):
+                continue
+            cases += 1
+            assert enumerate_extensions(base, f, k) == _extensions_keyless(base, f, k)
 
 
 def _digit_named(g: Graph) -> ConstantedGraph:
@@ -346,6 +353,45 @@ def test_type_fragment_monotone_under_induced_extension() -> None:
         frag_small = set(type_fragment(small, C3, k))
         frag_big = set(type_fragment(big, C3, k))
         assert frag_small <= frag_big
+
+
+def _type_fragment_full(
+    target: ConstantedGraph, forbidden: Graph, k: int
+) -> list[ExistentialFormula]:
+    """type_fragment without pruning by parent: every extension's formula
+    is evaluated."""
+    base = ConstantedGraph(
+        induced_subgraph(target.graph, target.constants), target.constants
+    )
+    return [
+        phi
+        for phi in (phi_formula(ext, base) for ext in enumerate_extensions(base, forbidden, k))
+        if eval_existential(phi, target)
+    ]
+
+
+def test_type_fragment_matches_full_evaluation() -> None:
+    """Targets larger than the base, which the CLI never builds: the
+    constants are a random subset of the target's vertices."""
+    forbidden = [P3, C3, path_graph(4), cycle_graph(4), PAW]
+    rng = random.Random(31)
+    cases = failed = 0
+    while cases < 150:
+        names = [f"t{i}" for i in range(rng.randint(1, 7))]
+        rng.shuffle(names)
+        density = rng.uniform(0.2, 0.8)
+        edges = [(u, v) for u, v in combinations(names, 2) if rng.random() < density]
+        constants = tuple(rng.sample(names, min(len(names), rng.randint(0, 3))))
+        target = ConstantedGraph(make_graph(names, edges), constants)
+        base = ConstantedGraph(induced_subgraph(target.graph, constants), constants)
+        f, k = rng.choice(forbidden), rng.randint(0, 3)
+        if not is_free(base.graph, f):
+            continue
+        cases += 1
+        want = _type_fragment_full(target, f, k)
+        assert type_fragment(target, f, k) == want
+        failed += len(enumerate_extensions(base, f, k)) - len(want)
+    assert failed > 1000
 
 
 def test_type_fragment_negative_k() -> None:
