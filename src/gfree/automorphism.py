@@ -4,13 +4,14 @@ No cograph has a cyclic automorphism group of order 3: from any order-3
 automorphism one can always manufacture an involution, by swapping two of
 the three sibling subtrees the 3-cycle spans in the decomposition tree.
 check_no_z3 confirms the exclusion exhaustively on small cographs.
+
+Enumeration needs only `graphs`: check_no_z3 imports the census and
+order3_to_order2 the cotree layer when they run.
 """
 
 from __future__ import annotations
 
-from .census import cograph_classes
-from .cotree import decompose, leaf_paths, meet_path
-from .errors import NotIsomorphismError, NotOrderThreeError, TooLargeError, record
+from .errors import BadSizeError, NotIsomorphismError, NotOrderThreeError, TooLargeError, record
 from .graphs import Graph, VertexMap, _embeddings, _is_isomorphism
 
 __all__ = [
@@ -81,6 +82,8 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     into the three sibling subtrees A, B, C holding a, b, c and the rest D.
     The involution applies f on A, its inverse on B, and fixes C and D.
     """
+    from .cotree import decompose, leaf_paths, meet_path
+
     if not _is_isomorphism(g, g, f.as_dict()):
         raise NotIsomorphismError("the given map is not an automorphism")
     if f.is_identity or not f.after(f).after(f).is_identity:
@@ -134,8 +137,12 @@ class NoZ3Report:
 def check_no_z3(max_n: int) -> NoZ3Report:
     """Search all cographs up to max_n vertices for an automorphism group
     of order 3 (any such group is cyclic); none should exist."""
+    if max_n < 0:
+        raise BadSizeError(f"max_n must be nonnegative, got {max_n}")
     if max_n > 9:
         raise TooLargeError(f"exhaustive search limited to 9 vertices, got {max_n}")
+    from .census import cograph_classes
+
     examined: list[tuple[int, int]] = []
     offenders: list[Graph] = []
     for n in range(1, max_n + 1):

@@ -10,13 +10,15 @@ text in message.
 
 Every handler returns one Report, and _render turns it into text or JSON.
 
-Start-up is kept lean, because a request's cost is mostly start-up on the
-polynomial cotree side: at module level this file imports only argparse,
-sys, pathlib and errors, and each handler imports the layer functions it
-calls when it runs, so a request loads only its own layer (`json` only
-under --json).  Handlers look the functions up in their defining modules
-at call time, so a rebinding of a module attribute (a test's monkeypatch,
-a tracer's wrapper) takes effect.
+Start-up is kept lean, because a request's cost is mostly start-up: at
+module level this file imports only argparse, sys, pathlib and errors, and
+each handler imports the layer functions it calls when it runs, so a
+request loads only the modules whose code it runs (`json` only under
+--json).  Handlers look the functions up in their defining modules at call
+time, so a rebinding of a module attribute (a test's monkeypatch, a
+tracer's wrapper) takes effect.  run_command builds the parser of the
+requested subcommand only; --help, no arguments and an unknown command get
+the full parser, and both print the same help and usage text.
 """
 
 from __future__ import annotations
@@ -314,97 +316,88 @@ def _cmd_no_z3(args) -> Report:
     return Report(1, "offenders found", text, witness, stats)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help line and its arguments, in order.  An argument
+# is a positional name or a (flag, add_argument keywords) pair.  The handler
+# of "delete-leaf" is _cmd_delete_leaf, and so on.
+_FORBIDDEN = ("--forbidden", {"required": True})
+_COMMANDS = {
+    "recognize": ("test whether a graph is a cograph", ["graph"]),
+    "decompose": ("print the decomposition tree of a cograph", ["graph"]),
+    "realize": ("print the graph a cotree realizes", ["cotree"]),
+    "validate": ("report structural violations of a cotree file", ["cotree"]),
+    "iso": ("test two graphs for isomorphism", ["first", "second"]),
+    "embed": ("induced-subgraph test for cographs, on the trees", ["pattern", "host"]),
+    "delete-leaf": ("remove one leaf from a cotree", ["cotree", "leaf"]),
+    "module": ("least module containing two vertices", ["graph", "u", "v"]),
+    "strong-module": ("least strong module of two vertices", ["graph", "u", "v"]),
+    "interpret-tree": ("rebuild the decomposition tree from pair modules", ["graph"]),
+    "tree-lift": (
+        "lift a plain rooted tree to a cotree",
+        ["tree", ("-k", {"type": int, "default": 2, "help": "fresh leaves per node (default 2)"})],
+    ),
+    "antichain": (
+        "cycle-family graph for an index set",
+        [_FORBIDDEN, ("indices", {"nargs": "+", "type": int})],
+    ),
+    "types": (
+        "k-bounded existential type fragment",
+        [
+            ("--base", {"required": True}),
+            _FORBIDDEN,
+            ("-k", {"type": int, "default": 4, "help": "fresh-vertex bound (default 4)"}),
+        ],
+    ),
+    "encode": (
+        "encode a graph into a forbidden-free graph",
+        [
+            _FORBIDDEN,
+            ("--input", {"required": True}),
+            ("--sidecar", {"help": "write a hub map file"}),
+        ],
+    ),
+    "decode": (
+        "decode an encoded graph",
+        [_FORBIDDEN, ("--input", {"required": True, "dest": "encoded"})],
+    ),
+    "roundtrip": ("encode, decode, and compare", [_FORBIDDEN, "input"]),
+    "aut": ("list all automorphisms of a graph", ["graph"]),
+    "no-z3": (
+        "exhaustive order-3 automorphism group search",
+        [("--max-n", {"type": int, "required": True, "dest": "max_n"})],
+    ),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The gfree parser with every subcommand, or with only the one named.
+
+    A one-command parser prints the same usage line as the full one: its
+    metavar lists every command, as argparse's default does.  The full
+    parser keeps the default, which names the argument "command" in the
+    errors that only it can raise (no command, an unknown one).
+    """
     parser = argparse.ArgumentParser(
         prog="gfree",
         description="Cographs, decomposition trees, and forbidden-subgraph tools.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    every = {} if only is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **every)
+    for name, (help_text, arguments) in _COMMANDS.items():
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
         p.add_argument("--json", action="store_true", help="structured output")
-        return p
-
-    p = cmd("recognize", _cmd_recognize, "test whether a graph is a cograph")
-    p.add_argument("graph")
-
-    p = cmd("decompose", _cmd_decompose, "print the decomposition tree of a cograph")
-    p.add_argument("graph")
-
-    p = cmd("realize", _cmd_realize, "print the graph a cotree realizes")
-    p.add_argument("cotree")
-
-    p = cmd("validate", _cmd_validate, "report structural violations of a cotree file")
-    p.add_argument("cotree")
-
-    p = cmd("iso", _cmd_iso, "test two graphs for isomorphism")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = cmd("embed", _cmd_embed, "induced-subgraph test for cographs, on the trees")
-    p.add_argument("pattern")
-    p.add_argument("host")
-
-    p = cmd("delete-leaf", _cmd_delete_leaf, "remove one leaf from a cotree")
-    p.add_argument("cotree")
-    p.add_argument("leaf")
-
-    p = cmd("module", _cmd_module, "least module containing two vertices")
-    p.add_argument("graph")
-    p.add_argument("u")
-    p.add_argument("v")
-
-    p = cmd("strong-module", _cmd_strong_module, "least strong module of two vertices")
-    p.add_argument("graph")
-    p.add_argument("u")
-    p.add_argument("v")
-
-    p = cmd(
-        "interpret-tree",
-        _cmd_interpret_tree,
-        "rebuild the decomposition tree from pair modules",
-    )
-    p.add_argument("graph")
-
-    p = cmd("tree-lift", _cmd_tree_lift, "lift a plain rooted tree to a cotree")
-    p.add_argument("tree")
-    p.add_argument("-k", type=int, default=2, help="fresh leaves per node (default 2)")
-
-    p = cmd("antichain", _cmd_antichain, "cycle-family graph for an index set")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("indices", nargs="+", type=int)
-
-    p = cmd("types", _cmd_types, "k-bounded existential type fragment")
-    p.add_argument("--base", required=True)
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("-k", type=int, default=4, help="fresh-vertex bound (default 4)")
-
-    p = cmd("encode", _cmd_encode, "encode a graph into a forbidden-free graph")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--sidecar", help="write a hub map file")
-
-    p = cmd("decode", _cmd_decode, "decode an encoded graph")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("--input", required=True, dest="encoded")
-
-    p = cmd("roundtrip", _cmd_roundtrip, "encode, decode, and compare")
-    p.add_argument("--forbidden", required=True)
-    p.add_argument("input")
-
-    p = cmd("aut", _cmd_aut, "list all automorphisms of a graph")
-    p.add_argument("graph")
-
-    p = cmd("no-z3", _cmd_no_z3, "exhaustive order-3 automorphism group search")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-
+        for arg in arguments:
+            flag, keywords = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def run_command(argv: list[str]) -> CommandResult:
-    parser = _build_parser()
+    # A request builds only its own subcommand; --help, no arguments and an
+    # unknown command get the full parser, which lists every command.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

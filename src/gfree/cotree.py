@@ -397,10 +397,14 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
     return ModuleSet(_members(g, members), "least-strong-module")
 
 
-@lru_cache(maxsize=None)
+# The module oracle enumerates all 2^n vertex subsets, so it stops at 12
+# vertices and caches only the last few graphs it saw.
+@lru_cache(maxsize=8)
 def _module_masks(g: Graph) -> tuple[int, ...]:
-    """Bitmasks of all nonempty modules, ascending."""
+    """Bitmasks of all nonempty modules, ascending (limited to 12 vertices)."""
     n = g.n
+    if n > 12:
+        raise TooLargeError(f"module enumeration limited to 12 vertices, got {n}")
     nbr = g.rows
     out = []
     for mask in range(1, 1 << n):
@@ -415,7 +419,7 @@ def _module_masks(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _strong_module_masks(g: Graph) -> tuple[int, ...]:
     """Modules comparable to or disjoint from every module."""
     mods = _module_masks(g)
@@ -448,8 +452,6 @@ def module_closure_oracle(g: Graph, u: str, v: str, strong: bool) -> ModuleSet:
                     members.add(w)
                     changed = True
         return ModuleSet(frozenset(members), "least-module")
-    if g.n > 12:
-        raise TooLargeError(f"strong-module oracle limited to 12 vertices, got {g.n}")
     idx = {x: i for i, x in enumerate(g.vertices)}
     want = (1 << idx[u]) | (1 << idx[v])
     best = None

@@ -5,24 +5,17 @@ The tree route: a cograph G is an induced subgraph of a cograph H exactly
 when the decomposition tree of G maps into the decomposition tree of H by
 an injective, order-preserving, label-preserving map under which the label
 of the meet of any two leaves is preserved.
+
+The tree functions import the cotree layer when they run, so the
+cycle-antichain half (which the gadget layer uses) loads only `graphs`.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from .cotree import (
-    CotreeNode,
-    Inner,
-    Leaf,
-    decompose,
-    ensure_valid,
-    iter_nodes,
-    leaf_paths,
-    meet_path,
-    normalize,
-)
 from .errors import (
     BadSizeError,
     EmptyIndexSetError,
@@ -39,6 +32,9 @@ from .graphs import (
     labeled_chain_sum,
     path_graph,
 )
+
+if TYPE_CHECKING:
+    from .cotree import CotreeNode
 
 __all__ = [
     "TreeEmbedding",
@@ -69,6 +65,8 @@ def _is_ancestor(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
 
 def _subtree_counts(t: CotreeNode) -> dict[tuple[int, ...], Counter]:
     """Per node: how many leaves, 0-nodes, and 1-nodes its subtree holds."""
+    from .cotree import Inner, iter_nodes
+
     counts: dict[tuple[int, ...], Counter] = {}
     for path, node in sorted(iter_nodes(t), key=lambda pn: -len(pn[0])):
         c = Counter({node.label: 1})
@@ -87,6 +85,8 @@ def label_meet_embed(source: CotreeNode, target: CotreeNode) -> TreeEmbedding | 
     their meet label.  The search backtracks with an explicit stack, so
     its depth is not bounded by the interpreter's recursion limit.
     """
+    from .cotree import ensure_valid, iter_nodes, meet_path
+
     ensure_valid(source)
     ensure_valid(target)
     s_nodes = list(iter_nodes(source))
@@ -141,6 +141,8 @@ def label_meet_embed(source: CotreeNode, target: CotreeNode) -> TreeEmbedding | 
 
 def cograph_induced_via_trees(g: Graph, h: Graph) -> bool:
     """True iff g embeds induced in h, decided on decomposition trees only."""
+    from .cotree import decompose
+
     return label_meet_embed(decompose(g), decompose(h)) is not None
 
 
@@ -152,6 +154,8 @@ def delete_vertex_cotree(t: CotreeNode, v: str) -> CotreeNode:
     becomes the root, is reparented (leaf), or has its children spliced
     into the grandparent (internal; labels agree by alternation).
     """
+    from .cotree import Inner, Leaf, ensure_valid, leaf_paths, normalize
+
     ensure_valid(t)
     paths = leaf_paths(t)
     if v not in paths:

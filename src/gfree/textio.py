@@ -12,16 +12,21 @@ Plain tree files: nested parentheses, one node per "()" pair.
 
 Both tree formats are read by one explicit-stack reader, so nesting depth
 is not bounded by the interpreter's recursion limit.
+
+Only the graph format is needed at import: the tree functions import the
+cotree layer when they run, so graph I/O loads just `graphs`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cotree import CotreeNode, Inner, Leaf, PlainTree, _fold
 from .errors import FormatError
 from .graphs import Graph, _edge_positions, make_graph
+
+if TYPE_CHECKING:
+    from .cotree import CotreeNode, PlainTree
 
 __all__ = [
     "parse_graph",
@@ -152,6 +157,8 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     nodes with fewer than two children, duplicate leaf names, and labels
     other than 0/1, pointing at the offending token.
     """
+    from .cotree import Inner, Leaf
+
     seen: set[str] = set()
 
     def leaf(tok: str, line: int, col: int) -> Leaf:
@@ -196,6 +203,8 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
 
 
 def format_cotree(t: CotreeNode) -> str:
+    from .cotree import _fold
+
     return _fold(
         t,
         lambda leaf: leaf.name,
@@ -205,6 +214,7 @@ def format_cotree(t: CotreeNode) -> str:
 
 def parse_plain_tree(text: str) -> PlainTree:
     """Parse a nested-parentheses rooted tree, e.g. "(()(()))"."""
+    from .cotree import PlainTree
 
     def leaf(tok: str, line: int, col: int):
         raise FormatError(f"expected '(', got {tok!r}", line=line, col=col)
@@ -218,4 +228,6 @@ def parse_plain_tree(text: str) -> PlainTree:
 
 
 def format_plain_tree(t: PlainTree) -> str:
+    from .cotree import _fold
+
     return _fold(t, None, lambda node, kids: "(" + "".join(kids) + ")")

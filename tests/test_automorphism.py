@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from gfree import (
+    BadSizeError,
     CotreeNode,
     Inner,
     Leaf,
@@ -222,3 +223,6 @@ def test_check_no_z3_trivial() -> None:
 def test_check_no_z3_size_guard() -> None:
     with pytest.raises(TooLargeError):
         check_no_z3(10)
+    with pytest.raises(BadSizeError):
+        check_no_z3(-1)
+    assert check_no_z3(0).total == 0

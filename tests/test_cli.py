@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gfree
 from gfree import NoZ3Report, cycle_graph, format_graph, make_graph, parse_graph, path_graph
-from gfree.cli import Report, run_command
+from gfree.cli import _COMMANDS, Report, _build_parser, run_command
 
 P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
 K2_TEXT = "2 1\na\nb\na b\n"
@@ -232,6 +234,12 @@ def test_no_z3(tmp_path: Path) -> None:
     assert payload["stats"]["total"] == 7
 
 
+def test_no_z3_rejects_negative_max_n() -> None:
+    res = run_command(["no-z3", "--max-n", "-1"])
+    assert (res.exit_code, res.stdout) == (2, "error: max_n must be nonnegative, got -1\n")
+    assert run_command(["no-z3", "--max-n", "0"]).exit_code == 0
+
+
 def test_each_report_gets_its_own_stats() -> None:
     first, second = Report(0, "ok", "ok\n"), Report(0, "ok", "ok\n")
     assert first == second and first.stats == {} and first.stats is not second.stats
@@ -384,3 +392,26 @@ def test_unexpected_exception_is_exit_3_never_1(tmp_path: Path, monkeypatch) -> 
     assert res.exit_code == 3
     payload = json.loads(res.stdout)
     assert (payload["verdict"], payload["message"]) == ("error", "RuntimeError: boom")
+
+
+# Argument vectors that end in argparse's own output: help, usage errors.
+PARSER_EXITS = [["--help"], [], ["nope"]] + [
+    argv for name in _COMMANDS for argv in ([name, "--help"], [name], [name, "--bogus", "x"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda a: " ".join(a) or "no arguments")
+def test_one_command_parser_prints_what_the_full_parser_prints(argv: list[str], capsys) -> None:
+    res = run_command(argv)
+    got = (res.exit_code, res.stdout, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert got == (exc.value.code, "", *capsys.readouterr())
+
+
+def test_a_request_builds_only_its_own_subcommand() -> None:
+    def commands(parser):
+        return list(parser._subparsers._group_actions[0].choices)
+
+    assert commands(_build_parser()) == list(_COMMANDS)
+    assert commands(_build_parser("aut")) == ["aut"]

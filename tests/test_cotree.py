@@ -47,6 +47,7 @@ from gfree import (
     tree_lift,
     validate_cotree,
 )
+from gfree.cotree import _module_masks, _strong_module_masks
 
 P3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K2 = make_graph(["a", "b"], [("a", "b")])
@@ -347,6 +348,17 @@ def test_module_closure_oracle_size_guard() -> None:
     big = make_graph([str(i) for i in range(13)], [])
     with pytest.raises(TooLargeError):
         module_closure_oracle(big, "0", "1", strong=True)
+
+
+def test_module_enumeration_states_its_bound() -> None:
+    # 2^13 subsets would enumerate quickly and return: only the bound raises.
+    big = make_graph([str(i) for i in range(13)], [])
+    for enumerate_modules in (_module_masks, _strong_module_masks):
+        with pytest.raises(TooLargeError, match="limited to 12 vertices"):
+            enumerate_modules(big)
+        assert enumerate_modules.cache_info().maxsize is not None
+    # A path on 12 vertices is prime: its modules are the singletons and V.
+    assert len(_module_masks(path_graph(12))) == 13
 
 
 def test_module_formulas_match_oracles_small() -> None:

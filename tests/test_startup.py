@@ -1,5 +1,5 @@
-"""CLI start-up loads only the layer a request runs, and the package
-re-exports its names lazily.
+"""CLI start-up loads only the modules whose code a request runs, and the
+package re-exports its names lazily.
 
 Each CLI case runs `python -X importtime -m gfree.cli ...` in a fresh
 process and reads the modules that request imported from the import-time
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import gfree
+from gfree.cli import _COMMANDS
 
 SRC = Path(gfree.__file__).resolve().parent.parent
 P3_TEXT = "3 2\na\nb\nc\na b\nb c\n"
@@ -29,15 +30,42 @@ FILES = {
     "plain.tree": "(()())\n",
 }
 
-# Layers only some subcommands need; the cotree side must not pay for them.
-HEAVY = {
+LAYERS = {
+    "gfree.graphs",
+    "gfree.cotree",
+    "gfree.textio",
     "gfree.typeslogic",
     "gfree.gadget",
     "gfree.automorphism",
     "gfree.census",
     "gfree.embedding",
 }
-LAYERS = HEAVY | {"gfree.graphs", "gfree.cotree", "gfree.textio"}
+
+# The exact gfree modules each subcommand loads (the CLI itself runs as
+# __main__, so gfree.cli is not among them).  Graph I/O needs only graphs;
+# a command loads cotree only when it builds, reads or prints a tree.
+GRAPH_IO = {"gfree", "gfree.errors", "gfree.graphs", "gfree.textio"}
+TREES = GRAPH_IO | {"gfree.cotree"}
+LOADS = {
+    "recognize": TREES,
+    "decompose": TREES,
+    "realize": TREES,
+    "validate": TREES,
+    "module": TREES,
+    "strong-module": TREES,
+    "interpret-tree": TREES,
+    "tree-lift": TREES,
+    "iso": GRAPH_IO,
+    "embed": TREES | {"gfree.embedding"},
+    "delete-leaf": TREES | {"gfree.embedding"},
+    "antichain": GRAPH_IO | {"gfree.embedding"},
+    "encode": GRAPH_IO | {"gfree.embedding", "gfree.gadget"},
+    "decode": GRAPH_IO | {"gfree.embedding", "gfree.gadget"},
+    "roundtrip": GRAPH_IO | {"gfree.embedding", "gfree.gadget"},
+    "aut": GRAPH_IO | {"gfree.automorphism"},
+    "no-z3": TREES | {"gfree.automorphism", "gfree.census"},
+    "types": GRAPH_IO | {"gfree.typeslogic"},
+}
 
 COTREE_SIDE = [
     ["recognize", "p3.graph"],
@@ -83,24 +111,29 @@ def _loaded(argv: list[str], cwd: Path) -> set[str]:
     }
 
 
+def _check_loads(argv: list[str], cwd: Path) -> None:
+    loaded = _loaded(argv, cwd)
+    assert {m for m in loaded if m.split(".")[0] == "gfree"} == LOADS[argv[0]]
+    assert "dataclasses" not in loaded
+
+
+def test_loads_cover_every_subcommand() -> None:
+    assert set(LOADS) == set(_COMMANDS)
+    assert {argv[0] for argv in COTREE_SIDE + OTHER + [TYPES]} == set(LOADS)
+
+
 @pytest.mark.parametrize("argv", COTREE_SIDE, ids=lambda a: " ".join(a))
 def test_cotree_side_request_loads_no_heavy_layer(argv: list[str], tmp_path: Path) -> None:
-    loaded = _loaded(argv, tmp_path)
-    assert "gfree.cotree" in loaded or "gfree.graphs" in loaded
-    assert not loaded & HEAVY
-    assert "dataclasses" not in loaded
+    _check_loads(argv, tmp_path)
 
 
 def test_types_loads_only_its_layer(tmp_path: Path) -> None:
-    loaded = _loaded(TYPES, tmp_path)
-    assert "gfree.typeslogic" in loaded
-    assert not loaded & (HEAVY - {"gfree.typeslogic"})
-    assert "dataclasses" not in loaded
+    _check_loads(TYPES, tmp_path)
 
 
 @pytest.mark.parametrize("argv", OTHER, ids=lambda a: a[0])
 def test_no_request_loads_dataclasses(argv: list[str], tmp_path: Path) -> None:
-    assert "dataclasses" not in _loaded(argv, tmp_path)
+    _check_loads(argv, tmp_path)
 
 
 def test_help_loads_no_layer(tmp_path: Path) -> None:
