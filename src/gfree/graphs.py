@@ -12,15 +12,16 @@ outside; every other operation builds rows from rows.  The edge set (pairs
 of names) is derived from the rows on demand, and each graph caches one
 vertex -> position dict.
 
-One search engine serves induced embeddings, freeness, isomorphism and (in
-automorphism.py) automorphism enumeration.  A pattern vertex's candidates
-are an intersection of host rows.  The search is iterative, so its depth is
-not bounded by the interpreter's recursion limit.  Pattern vertices are
-assigned in declared order and candidates tried in the host's declared
-order, so the witness is the first one in declared order, which makes
-every search deterministic.  Connected components and the complement are
-read off the same rows.  Degrees come from int.bit_count, which needs
-Python 3.10 or newer.
+One search engine, _placements, works on positions and serves induced
+embeddings, freeness, isomorphism, automorphism enumeration and counting
+(automorphism.py) and the traces and deduplication of the types layer
+(typeslogic.py).  A pattern vertex's candidates are an intersection of
+host rows.  The search is iterative, so its depth is not bounded by the
+interpreter's recursion limit.  Pattern vertices are assigned in declared
+order and candidates tried in the host's declared order, so the witness is
+the first one in declared order, which makes every search deterministic.
+Connected components and the complement are read off the same rows.
+Degrees come from int.bit_count, which needs Python 3.10 or newer.
 """
 
 from __future__ import annotations
@@ -204,6 +205,8 @@ def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
         if v not in index:
             raise UnknownEndpointError(f"unknown vertex: {v!r}")
         mask |= 1 << index[v]
+    if mask == (1 << g.n) - 1:
+        return g
     kept = list(_bits(mask))
     new = {i: 1 << k for k, i in enumerate(kept)}
     rows = tuple(sum(new[j] for j in _bits(g.rows[i] & mask)) for i in kept)
@@ -340,29 +343,18 @@ def _check_partial(pattern: Graph, host: Graph, partial: Mapping[str, str]) -> N
             raise BadPartialError(f"partial maps to unknown host vertex {v!r}")
 
 
-def _embeddings(
-    pattern: Graph, host: Graph, partial: Mapping[str, str]
-) -> Iterator[dict[str, str]]:
-    """Every induced embedding of pattern into host extending partial.
-
-    Free pattern vertices are assigned in declared order.  Each one's
-    candidates are the host positions whose degree and co-degree leave room
-    for it, minus the used ones, intersected with the adjacency mask (or its
-    complement) of every host vertex already assigned.  Candidates are taken
-    lowest bit first, i.e. in the host's declared order, so embeddings come
-    out in lexicographic order of their images.  The search keeps the
-    untried candidates of every depth on an explicit stack.
-    """
-    padj, hadj = pattern.rows, host.rows
-    slack = host.n - pattern.n
+def _fits(prows: Sequence[int], hrows: Sequence[int]) -> list[int]:
+    """fits[p]: the host positions whose degree and co-degree leave room for
+    pattern position p, i.e. degree at least p's and at most p's plus the
+    number of host positions the pattern leaves out."""
+    slack = len(hrows) - len(prows)
     by_degree: dict[int, int] = {}
-    for j, row in enumerate(hadj):
+    for j, row in enumerate(hrows):
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << j
-    # fits[p]: host positions whose degree and co-degree leave room for p
     fits_of: dict[int, int] = {}
     fits = []
-    for row in padj:
+    for row in prows:
         d = row.bit_count()
         f = fits_of.get(d)
         if f is None:
@@ -372,36 +364,39 @@ def _embeddings(
                     f |= m
             fits_of[d] = f
         fits.append(f)
+    return fits
 
-    pairs = [(pattern.index[u], host.index[v]) for u, v in partial.items()]
-    used = 0
-    # The fixed part must itself be consistent.
-    for p, h in pairs:
-        if not fits[p] >> h & 1:
-            return
-        for q, k in pairs:
-            if q != p and (padj[p] >> q & 1) != (hadj[h] >> k & 1):
-                return
-        used |= 1 << h
 
-    def candidates(p: int, used: int) -> int:
-        cand = fits[p] & ~used
-        row = padj[p]
-        for q, h in pairs:
-            if not cand:
-                break
-            cand &= hadj[h] if row >> q & 1 else ~hadj[h]
-        return cand
+def _placements(
+    prows: Sequence[int],
+    hrows: Sequence[int],
+    fits: Sequence[int],
+    order: Sequence[int],
+    used: int = 0,
+) -> Iterator[list[tuple[int, int]]]:
+    """Every injective placement of the pattern positions in order onto
+    host positions, as (pattern, host) pairs, that keeps adjacency between
+    the placed positions.
 
-    pnames, hnames = pattern.vertices, host.vertices
-    order = [p for p, v in enumerate(pnames) if v not in partial]
+    Every induced-subgraph search of the package runs here.  Position
+    order[d]'s candidates are fits[order[d]] minus used and minus the host
+    positions taken at earlier depths, intersected with the host row (or
+    its complement) of every earlier placement.  Whatever else a caller
+    needs, such as agreement with positions it has fixed itself, it folds
+    into fits.  Candidates are taken lowest bit first, so placements come
+    out in lexicographic order of their host positions.  The untried
+    candidates of every depth sit on an explicit stack, so depth is not
+    bounded by the recursion limit.  The yielded list is the search's own
+    and changes as the search goes on: copy it to keep it.
+    """
     if not order:
-        yield {pnames[p]: hnames[h] for p, h in pairs}
+        yield []
         return
+    pairs: list[tuple[int, int]] = []
     last = len(order) - 1
     rest = [0] * len(order)  # untried candidates per depth
     depth = 0
-    cand = candidates(order[0], used)
+    cand = fits[order[0]] & ~used
     while True:
         if cand:
             low = cand & -cand
@@ -410,15 +405,54 @@ def _embeddings(
             used |= low
             if depth < last:
                 depth += 1
-                cand = candidates(order[depth], used)
+                p = order[depth]
+                cand = fits[p] & ~used
+                row = prows[p]
+                for q, h in pairs:
+                    if not cand:
+                        break
+                    cand &= hrows[h] if row >> q & 1 else ~hrows[h]
                 continue
-            yield {pnames[p]: hnames[h] for p, h in pairs}
+            yield pairs
         elif depth:
             depth -= 1
         else:
             return
         used ^= 1 << pairs.pop()[1]
         cand = rest[depth]
+
+
+def _embeddings(
+    pattern: Graph, host: Graph, partial: Mapping[str, str]
+) -> Iterator[dict[str, str]]:
+    """Every induced embedding of pattern into host extending partial, in
+    lexicographic order of their images: _placements over the free pattern
+    vertices in declared order, with each one's fits narrowed by the
+    partial map's pairs."""
+    padj, hadj = pattern.rows, host.rows
+    fits = _fits(padj, hadj)
+    fixed = [(pattern.index[u], host.index[v]) for u, v in partial.items()]
+    used = 0
+    # The fixed part must itself be consistent.
+    for p, h in fixed:
+        if not fits[p] >> h & 1:
+            return
+        for q, k in fixed:
+            if q != p and (padj[p] >> q & 1) != (hadj[h] >> k & 1):
+                return
+        used |= 1 << h
+    pnames, hnames = pattern.vertices, host.vertices
+    order = [p for p, v in enumerate(pnames) if v not in partial]
+    for p in order:
+        row = padj[p]
+        for q, h in fixed:
+            fits[p] &= hadj[h] if row >> q & 1 else ~hadj[h]
+    named = {pnames[p]: hnames[h] for p, h in fixed}
+    for pairs in _placements(padj, hadj, fits, order, used):
+        found = dict(named)
+        for p, h in pairs:
+            found[pnames[p]] = hnames[h]
+        yield found
 
 
 def find_induced_embedding(

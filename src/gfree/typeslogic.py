@@ -11,13 +11,18 @@ forbidden-free extensions that hold in it.
 
 Enumeration, deduplication and evaluation run on the graphs' adjacency
 rows (Graph.rows).  Each candidate extension is its parent's rows plus one
-new row.  A parent is already forbidden-free, so the candidates' freeness
-comes from one pass per parent: the traces that the embeddings of F minus
-one vertex leave in it (_free_masks).  Candidates are bucketed by a mask
-invariant before the exact isomorphism check fixing the base, which calls
-the search engine directly.  Evaluation searches over int-mask domains of
-target positions, and type_fragment skips every extension whose parent's
-formula already failed, since the child's formula contains it.
+new row, and stays a rows tuple unless it is kept.  A parent is already
+forbidden-free, so the candidates' freeness comes from one pass per parent:
+the traces that the embeddings of F minus one vertex leave in it
+(_free_masks).  Deduplication gives each fresh position a signature, its
+neighbours among the base and its degree.  A candidate meets only the kept
+graphs with its multiset of signatures, and once two of those exist, only
+those with its refined key as well (_refined_key).  The exact check
+(_fixes_base) runs the graph layer's one search on positions, placing each
+fresh position only where the kept graph's signature table allows.
+Evaluation searches over int-mask domains of target positions, and
+type_fragment skips every extension whose parent's formula already failed,
+since the child's formula contains it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import (
     BaseNotFreeError,
     DuplicateVertexError,
     NotAnExtensionError,
+    TooLargeError,
     UnknownConstantError,
     UnknownVertexError,
     record,
@@ -38,7 +44,8 @@ from .errors import (
 from .graphs import (
     Graph,
     _bits,
-    _embeddings,
+    _fits,
+    _placements,
     induced_subgraph,
     is_free,
 )
@@ -109,33 +116,69 @@ class ConstantedGraph:
                 raise UnknownVertexError(f"constant {c!r} is not a vertex")
 
 
-def _iso_key(g: Graph, pinned: int) -> tuple:
-    """Invariant of g under isomorphisms fixing its first `pinned` vertices:
-    the edge count and, for each other vertex, the sorted pairs of its
-    neighbours among the pinned ones (as a mask) and its degree."""
+def _signatures(rows: tuple[int, ...], pinned: int) -> list[int]:
+    """For each position from `pinned` on, its neighbours among the first
+    `pinned` positions (a mask) and its degree, packed into one int."""
     low = (1 << pinned) - 1
-    return g.m, tuple(sorted((row & low, row.bit_count()) for row in g.rows[pinned:]))
+    return [row & low | row.bit_count() << pinned for row in rows[pinned:]]
 
 
-def _iso_fixing(g: Graph, h: Graph, pinned: tuple[str, ...]) -> bool:
-    """True iff some isomorphism g -> h fixes every pinned vertex; the
-    search runs on _embeddings directly, without the partial-map checks of
-    find_induced_embedding."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    return next(_embeddings(g, h, {p: p for p in pinned}), None) is not None
+def _refined_key(rows: tuple[int, ...], pinned: int) -> tuple:
+    """A finer invariant under isomorphisms fixing the first `pinned`
+    positions: for each other position, its signature and the sorted
+    degrees of its neighbours, as a sorted tuple."""
+    degrees = [row.bit_count() for row in rows]
+    return tuple(sorted(
+        (sig, tuple(sorted(degrees[j] for j in _bits(row))))
+        for sig, row in zip(_signatures(rows, pinned), rows[pinned:])
+    ))
 
 
-def _pieces(forbidden: Graph) -> list[tuple[Graph, tuple[str, ...]]]:
-    """For each vertex r of the forbidden graph F: F - r and r's neighbours."""
-    names = forbidden.vertices
-    return [
-        (induced_subgraph(forbidden, names[:i] + names[i + 1:]), forbidden.neighbors(r))
-        for i, r in enumerate(names)
-    ]
+def _signature_table(sigs: list[int], pinned: int) -> dict[int, int]:
+    """Signature -> mask of the positions (from `pinned` on) that have it."""
+    table: dict[int, int] = {}
+    for i, sig in enumerate(sigs, pinned):
+        table[sig] = table.get(sig, 0) | 1 << i
+    return table
 
 
-def _free_masks(g: Graph, pieces: list[tuple[Graph, tuple[str, ...]]]) -> list[int]:
+def _fixes_base(
+    rows: tuple[int, ...],
+    sigs: list[int],
+    host_rows: tuple[int, ...],
+    host_table: dict[int, int],
+    pinned: int,
+) -> bool:
+    """True iff some isomorphism from rows to host_rows fixes each of the
+    first `pinned` positions, given that both have as many positions and
+    agree on the rows among the first `pinned`.
+
+    Each other position may go only to the host positions with its
+    signature, read from the host's table, which also places it correctly
+    against the fixed ones; _placements then checks adjacency among the
+    rest.
+    """
+    fits = [0] * pinned + [host_table.get(sig, 0) for sig in sigs]
+    placed = _placements(rows, host_rows, fits, range(pinned, len(rows)))
+    return next(placed, None) is not None
+
+
+def _pieces(forbidden: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """For each vertex r of the forbidden graph F: the rows of F - r, and
+    r's neighbours as a mask over them; a piece equal to an earlier one is
+    left out, since it leaves the same traces."""
+
+    def without(row: int, r: int) -> int:
+        return row & (1 << r) - 1 | row >> (r + 1) << r
+
+    rows = forbidden.rows
+    return list(dict.fromkeys(
+        (tuple(without(row, r) for i, row in enumerate(rows) if i != r), without(rows[r], r))
+        for r in range(len(rows))
+    ))
+
+
+def _free_masks(g: Graph, pieces: list[tuple[tuple[int, ...], int]]) -> list[int]:
     """Neighbour masks M, ascending, for which g plus one new vertex adjacent
     to exactly M is free of F, given that g is F-free and pieces is
     _pieces(F).
@@ -145,18 +188,18 @@ def _free_masks(g: Graph, pieces: list[tuple[Graph, tuple[str, ...]]]) -> list[i
     image and T the image of r's neighbours, and M is blocked iff some trace
     has M & S == T.
     """
-    index = g.index
-    traces: set[tuple[int, int]] = set()
+    rows = g.rows
+    traces: dict[int, set[int]] = {}  # S -> every T of a trace (S, T)
     for piece, nbrs in pieces:
-        for phi in _embeddings(piece, g, {}):
-            image = 0
-            for w in phi.values():
-                image |= 1 << index[w]
-            touched = 0
-            for u in nbrs:
-                touched |= 1 << index[phi[u]]
-            traces.add((image, touched))
-    return [m for m in range(1 << g.n) if not any(m & s == t for s, t in traces)]
+        for pairs in _placements(piece, rows, _fits(piece, rows), range(len(piece))):
+            image = touched = 0
+            for p, h in pairs:
+                image |= 1 << h
+                if nbrs >> p & 1:
+                    touched |= 1 << h
+            traces.setdefault(image, set()).add(touched)
+    by_image = list(traces.items())
+    return [m for m in range(1 << g.n) if not any(m & s in ts for s, ts in by_image)]
 
 
 def _extension_tree(
@@ -166,6 +209,13 @@ def _extension_tree(
     the same tuple) of the kept graph it was built from; -1 for the base."""
     if k < 0:
         raise BadSizeError(f"need k >= 0, got {k}")
+    pinned = base.graph.n
+    if k and pinned + k - 1 > 20:
+        raise TooLargeError(
+            "extension enumeration lists every neighbour mask of a parent, so it is"
+            f" limited to parents of 20 vertices; the base of {pinned} vertices"
+            f" with k = {k} gives {pinned + k - 1}"
+        )
     if not is_free(base.graph, forbidden):
         raise BaseNotFreeError("base graph contains the forbidden graph")
     for i in range(k):
@@ -174,27 +224,38 @@ def _extension_tree(
                 f"base vertex {str(i)!r} collides with the fresh-name scheme"
             )
     pieces = _pieces(forbidden)
-    pinned = base.graph.vertices
     graphs = [base.graph]
     parents = [-1]
     start = 0
     for level in range(k):
-        new_name = str(level)
-        buckets: dict[tuple, list[Graph]] = {}
+        names = base.graph.vertices + tuple(str(i) for i in range(level + 1))
+        # Kept graphs by sorted signatures: a lone graph, or once a second
+        # one arrives, lists by refined key.  An entry is (rows, table), and
+        # the candidates of one level all have as many positions.
+        lone: dict[tuple, tuple] = {}
+        split: dict[tuple, dict[tuple, list[tuple]]] = {}
         end = len(graphs)
         for parent in range(start, end):
             g = graphs[parent]
-            names = g.vertices + (new_name,)
             bit = 1 << g.n
             for mask in _free_masks(g, pieces):
-                rows = [row | bit if mask >> i & 1 else row for i, row in enumerate(g.rows)]
-                cand = Graph(names, (*rows, mask))
-                key = _iso_key(cand, base.graph.n)
-                bucket = buckets.setdefault(key, [])
-                if any(_iso_fixing(cand, rep, pinned) for rep in bucket):
-                    continue
-                bucket.append(cand)
-                graphs.append(cand)
+                rows = (*(row | bit if mask >> i & 1 else row for i, row in enumerate(g.rows)), mask)
+                sigs = _signatures(rows, pinned)
+                key = tuple(sorted(sigs))
+                rep = lone.get(key)
+                if rep is not None or key in split:
+                    if rep is not None:
+                        if _fixes_base(rows, sigs, *rep, pinned):
+                            continue
+                        del lone[key]
+                        split[key] = {_refined_key(rep[0], pinned): [rep]}
+                    bucket = split[key].setdefault(_refined_key(rows, pinned), [])
+                    if any(r is not rep and _fixes_base(rows, sigs, *r, pinned) for r in bucket):
+                        continue
+                    bucket.append((rows, _signature_table(sigs, pinned)))
+                else:
+                    lone[key] = (rows, _signature_table(sigs, pinned))
+                graphs.append(Graph(names, rows))
                 parents.append(parent)
         start = end
     exts = (base, *(ConstantedGraph(g, base.constants) for g in graphs[1:]))
@@ -212,9 +273,13 @@ def enumerate_extensions(
     is F-free, so only copies of F through the new vertex are looked for,
     as traces of the embeddings of F minus one vertex.  Duplicates are
     removed up to isomorphisms fixing the base pointwise: a candidate is
-    checked only against the kept graphs with its _iso_key, and kept when
-    none is isomorphic to it.  Order is deterministic: by level, then by
-    discovery.
+    checked only against the kept graphs with the same signatures (and
+    refined key, once there are two), and kept when none is isomorphic to
+    it.  Order is deterministic: by level, then by discovery.
+
+    Each parent's 2^n neighbour masks are listed, so with k > 0 the largest
+    parent, of n + k - 1 vertices, may have at most 20, or TooLargeError is
+    raised.  With k = 0 nothing is listed and any base is accepted.
     """
     return list(_extension_tree(base, forbidden, k)[0])
 

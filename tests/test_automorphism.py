@@ -29,6 +29,18 @@ from gfree import (
     path_graph,
     realize,
 )
+from gfree.automorphism import _automorphism_count
+
+# A graph whose automorphism group has order 3 needs at least 9 vertices.
+# This one has 15 edges: the triangles a_i b_i c_i, the triangle b_0 b_1
+# b_2, and c_i joined to b_{i+1}, which rules out every reflection.
+Z3_GRAPH = make_graph(
+    [f"{x}{i}" for x in "abc" for i in range(3)],
+    [e for i in range(3) for e in (
+        (f"a{i}", f"b{i}"), (f"a{i}", f"c{i}"), (f"b{i}", f"c{i}"),
+        (f"b{i}", f"b{(i + 1) % 3}"), (f"c{i}", f"b{(i + 1) % 3}"),
+    )],
+)
 
 
 def _rename_leaves(t: CotreeNode, mapping: dict[str, str]) -> CotreeNode:
@@ -212,6 +224,24 @@ def test_automorphism_group_orders_of_cographs_up_to_7() -> None:
         (1, 1), (2, 12), (4, 40), (6, 10), (8, 46), (12, 52), (16, 26), (24, 26),
         (36, 8), (48, 36), (72, 6), (120, 6), (144, 6), (240, 6), (720, 4), (5040, 2),
     ]
+
+
+def test_capped_count_matches_enumeration() -> None:
+    for n in range(1, 7):
+        for g in graph_classes(n):
+            total = len(automorphisms(g))
+            for cap in (1, 2, 3, 4):
+                assert _automorphism_count(g, cap) == min(total, cap)
+
+
+def test_check_no_z3_flags_an_order_3_group(monkeypatch) -> None:
+    assert Z3_GRAPH.m == 15
+    assert len(automorphisms(Z3_GRAPH)) == 3
+    assert _automorphism_count(Z3_GRAPH, 4) == 3
+    monkeypatch.setattr("gfree.census.cograph_classes", lambda n: [Z3_GRAPH] if n == 9 else [])
+    report = check_no_z3(9)
+    assert report.offenders == (Z3_GRAPH,)
+    assert not report.ok
 
 
 def test_check_no_z3_trivial() -> None:

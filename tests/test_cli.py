@@ -152,6 +152,23 @@ def test_types_rejects_empty_forbidden(tmp_path: Path) -> None:
         assert (res.exit_code, res.stdout) == (2, "error: freeness needs a nonempty forbidden graph\n")
 
 
+def test_types_states_its_size_bound(tmp_path: Path) -> None:
+    """Every neighbour mask of a parent is listed, so a parent may have at
+    most 20 vertices; with k = 0 nothing is enumerated and any base goes."""
+
+    def edgeless(n: int) -> str:
+        text = f"{n} 0\n" + "".join(f"v{i}\n" for i in range(n))
+        return _write(tmp_path, f"e{n}.graph", text)
+
+    k2 = _write(tmp_path, "k2.graph", K2_TEXT)
+    for n, k in ((21, "1"), (20, "2"), (3, "19")):
+        res = run_command(["types", "--base", edgeless(n), "--forbidden", k2, "-k", k])
+        assert res.exit_code == 2
+        assert res.stdout.startswith("error: extension enumeration lists every neighbour mask")
+    res = run_command(["types", "--base", edgeless(40), "--forbidden", k2, "-k", "0"])
+    assert (res.exit_code, res.stdout) == (0, "true\n")
+
+
 def test_encode_decode_roundtrip(tmp_path: Path) -> None:
     c3 = _write(tmp_path, "c3.graph", C3_TEXT)
     k2 = _write(tmp_path, "k2.graph", K2_TEXT)

@@ -267,6 +267,8 @@ def test_relabel_and_induced_subgraph() -> None:
     assert q.has_edge("x", "y") and q.has_edge("y", "z") and not q.has_edge("x", "z")
     sub = induced_subgraph(cycle_graph(4), ["g0", "g1", "g2"])
     assert is_isomorphic(sub, p3) is not None
+    c4 = cycle_graph(4)
+    assert induced_subgraph(c4, ["g3", "g1", "g0", "g2", "g1"]) is c4
 
 
 def test_connected_components() -> None:

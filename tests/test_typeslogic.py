@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -28,7 +29,7 @@ from gfree import (
     relabel,
     type_fragment,
 )
-from gfree.typeslogic import _iso_fixing
+from gfree.typeslogic import _fixes_base, _signature_table, _signatures
 
 P3 = path_graph(3)
 C3 = cycle_graph(3)
@@ -261,8 +262,9 @@ def _extensions_keyless(
     base: ConstantedGraph, forbidden: Graph, k: int
 ) -> list[ConstantedGraph]:
     """enumerate_extensions without the key buckets: every candidate is
-    checked with _iso_fixing against every graph kept so far at its level."""
-    pinned = base.graph.vertices
+    checked against every graph kept so far at its level, by a total
+    induced embedding that fixes each base vertex."""
+    fixed = {v: v for v in base.graph.vertices}
     out, current = [base], [base.graph]
     for level in range(k):
         new, kept = str(level), []
@@ -271,12 +273,41 @@ def _extensions_keyless(
                 extra = [(new, g.vertices[i]) for i in range(g.n) if mask >> i & 1]
                 cand = make_graph(g.vertices + (new,), list(g.edges) + extra)
                 if is_free(cand, forbidden) and not any(
-                    _iso_fixing(cand, h, pinned) for h in kept
+                    find_induced_embedding(cand, h, fixed) is not None for h in kept
                 ):
                     kept.append(cand)
         out.extend(ConstantedGraph(g, base.constants) for g in kept)
         current = kept
     return out
+
+
+def test_base_fixing_check_matches_pinned_embedding() -> None:
+    """_fixes_base against a total induced embedding fixing each base
+    vertex, on random pairs that share their base: shuffled copies, which
+    are isomorphic, and independent graphs, most of which are not."""
+    rng = random.Random(43)
+    seen: Counter = Counter()
+    for _ in range(600):
+        pinned = rng.randint(0, 3)
+        names = [f"v{i}" for i in range(pinned + rng.randint(1, 5))]
+        density = rng.uniform(0.2, 0.8)
+        pairs = list(combinations(names, 2))
+        g = make_graph(names, [e for e in pairs if rng.random() < density])
+        if rng.random() < 0.5:
+            fresh = names[pinned:]
+            pi = dict(zip(names, names[:pinned] + rng.sample(fresh, len(fresh))))
+            h = make_graph(names, [(pi[u], pi[v]) for u, v in g.edges])
+        else:
+            base_edges = [e for e in g.edges if e[0] in names[:pinned] and e[1] in names[:pinned]]
+            fresh_pairs = [e for e in pairs if e[1] in names[pinned:]]
+            h = make_graph(names, base_edges + [e for e in fresh_pairs if rng.random() < density])
+        table = _signature_table(_signatures(h.rows, pinned), pinned)
+        got = _fixes_base(g.rows, _signatures(g.rows, pinned), h.rows, table, pinned)
+        fixed = {v: v for v in names[:pinned]}
+        want = find_induced_embedding(g, h, fixed) is not None
+        assert got == want
+        seen[pinned > 0, want] += 1
+    assert min(seen[key] for key in product((False, True), repeat=2)) > 25
 
 
 def test_enumerate_extensions_matches_keyless_dedup() -> None:
