@@ -121,10 +121,10 @@ def _cmd_decompose(args) -> Report:
 
 def _cmd_realize(args) -> Report:
     from .cotree import realize
-    from .textio import format_graph, parse_cotree
+    from .textio import parse_cotree
 
     g = realize(parse_cotree(_read(args.cotree)))
-    return Report(0, "realized", format_graph(g), format_graph(g), _graph_stats(g))
+    return _graph_report("realized", g, _graph_stats(g))
 
 
 def _cmd_validate(args) -> Report:
@@ -215,7 +215,8 @@ def _cmd_tree_lift(args) -> Report:
 def _graph_report(verdict: str, g, stats: dict) -> Report:
     from .textio import format_graph
 
-    return Report(0, verdict, format_graph(g), format_graph(g), stats)
+    text = format_graph(g)
+    return Report(0, verdict, text, text, stats)
 
 
 def _cmd_antichain(args) -> Report:

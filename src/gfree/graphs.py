@@ -8,9 +8,10 @@ byte.
 A graph is its vertex tuple and its adjacency rows: rows[i] is an int whose
 bit j is set when vertices[i] and vertices[j] are adjacent.  Two graphs are
 equal when both agree.  make_graph validates names and edges given from
-outside; every other operation builds rows from rows.  The edge set (pairs
-of names) is derived from the rows on demand, and each graph caches one
-vertex -> position dict.
+outside; textio.parse_graph ORs the edges of a well-formed file into rows
+itself and calls make_graph only to raise on a faulty one; every other
+operation builds rows from rows.  The edge set (pairs of names) is derived
+from the rows on demand, and each graph caches one vertex -> position dict.
 
 One search engine, _placements, works on positions and serves induced
 embeddings, freeness, isomorphism, automorphism enumeration and counting
@@ -171,7 +172,9 @@ def _positions(names: Iterable[str]) -> dict[str, int]:
 
 
 def make_graph(names: Sequence[str], edge_pairs: Iterable[tuple[str, str]]) -> Graph:
-    """Build a Graph from names and edges, validating both."""
+    """Build a Graph from names and edges, validating both: a repeated name
+    raises first, then the first edge that is a self-loop or has an
+    unknown endpoint."""
     index = _positions(names)
     rows = [0] * len(index)
     for u, v in edge_pairs:
@@ -299,6 +302,8 @@ def _is_isomorphism(g: Graph, h: Graph, mapping: Mapping[str, str]) -> bool:
     which every row of g becomes the row of its image."""
     if g.n != h.n or set(mapping) != set(g.vertices) or set(mapping.values()) != set(h.vertices):
         return False
+    if tuple(map(mapping.__getitem__, g.vertices)) == h.vertices:
+        return g.rows == h.rows  # every position kept
     image = [h.index[mapping[v]] for v in g.vertices]
     return all(
         sum(1 << image[j] for j in _bits(row)) == h.rows[image[i]]

@@ -1,7 +1,18 @@
 """Text formats: graphs, cotree s-expressions, plain rooted trees.
 
 Graph files: first line "n m", then n vertex-name lines, then m lines
-"u v".  UTF-8 with LF endings; names are whitespace-free tokens.
+"u v".  UTF-8 with LF endings; names are whitespace-free tokens, and any
+other whitespace (tab, CR, NBSP, ...) separates or surrounds tokens.  A
+repeated edge line counts once.  The parser reads the edge lines in one
+pass, ORing each edge into the adjacency rows, and builds no list of
+edges.  Errors come in a fixed order: the header, the line count, the
+first bad name line, the first edge line that is not two tokens, a
+repeated name, then the first edge line with a self-loop or an unknown
+endpoint.  At the first fault of the last two kinds the parser goes on
+checking only the shape of the edge lines, then lets make_graph, the one
+validator of names and edges, raise.  The formatter writes the edges from
+each vertex to the later ones as one chunk, so edges come out in declared
+order of their first and then their second endpoint.
 
 Cotree files: one s-expression, internal node "(<label> child ...)" with
 label 0 or 1, leaf = vertex name.  The strict parser rejects structural
@@ -20,10 +31,11 @@ cotree layer when they run, so graph I/O loads just `graphs`.
 from __future__ import annotations
 
 import re
+from itertools import compress
 from typing import TYPE_CHECKING, Callable
 
 from .errors import FormatError
-from .graphs import Graph, _edge_positions, make_graph
+from .graphs import Graph, make_graph
 
 if TYPE_CHECKING:
     from .cotree import CotreeNode, PlainTree
@@ -67,13 +79,30 @@ def parse_graph(text: str) -> Graph:
         if not _NAME_RE.match(name):
             raise FormatError("vertex name must be one nonempty token", line=2 + i)
         names.append(name)
-    edges: list[tuple[str, str]] = []
-    for j in range(m):
-        parts = lines[1 + n + j].split()
+    index = dict(zip(names, range(n)))
+    bit = [1 << i for i in range(n)]
+    rows = [0] * n
+    anomaly = len(index) != n  # a repeated name
+    for k in range(1 + n, len(lines)):
+        parts = lines[k].split()
         if len(parts) != 2:
-            raise FormatError('edge line must be "u v"', line=2 + n + j)
-        edges.append((parts[0], parts[1]))
-    return make_graph(names, edges)
+            raise FormatError('edge line must be "u v"', line=k + 1)
+        if anomaly:
+            continue
+        i, j = index.get(parts[0]), index.get(parts[1])
+        if i is None or j is None or i == j:
+            anomaly = True  # an unknown endpoint or a self-loop
+            continue
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    if anomaly:
+        # Every edge line has its shape; make_graph names the first fault.
+        return make_graph(names, (line.split() for line in lines[1 + n :]))
+    return Graph(tuple(names), tuple(rows))
+
+
+# bytes.translate table: the digits of bin() to selector bytes 0 and 1
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def format_graph(g: Graph) -> str:
@@ -83,7 +112,13 @@ def format_graph(g: Graph) -> str:
     names = g.vertices
     out = [f"{g.n} {g.m}"]
     out.extend(names)
-    out.extend(f"{names[i]} {names[j]}" for i, j in _edge_positions(g.rows))
+    for i, row in enumerate(g.rows):
+        above = row >> i + 1
+        if above:
+            # selectors[k] is 1 when vertex i + 1 + k is a neighbour
+            selectors = bin(above)[:1:-1].encode().translate(_BIT_SELECTORS)
+            sep = "\n" + names[i] + " "
+            out.append(names[i] + " " + sep.join(compress(names[i + 1 :], selectors)))
     return "\n".join(out) + "\n"
 
 

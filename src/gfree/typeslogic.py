@@ -45,6 +45,7 @@ from .graphs import (
     Graph,
     _bits,
     _fits,
+    _is_isomorphism,
     _placements,
     induced_subgraph,
     is_free,
@@ -295,8 +296,8 @@ def phi_formula(ext: ConstantedGraph, base: ConstantedGraph) -> ExistentialFormu
     ext_g = ext.graph
     if ext.constants != base.constants or not set(base_verts) <= set(ext_g.vertices):
         raise NotAnExtensionError("extension does not contain the base")
-    restricted = induced_subgraph(ext_g, base_verts)
-    if restricted.edges != base.graph.edges:
+    identity = {v: v for v in base_verts}
+    if not _is_isomorphism(base.graph, induced_subgraph(ext_g, base_verts), identity):
         raise NotAnExtensionError("extension disagrees with the base on base edges")
     index, rows = ext_g.index, ext_g.rows
     fresh = [index[v] for v in ext_g.vertices if v not in set(base_verts)]

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
+from graph_text_oracle import oracle_format_graph, oracle_parse_graph, outcome
 
 from gfree import (
     DuplicateVertexError,
@@ -70,6 +74,97 @@ def test_parse_graph_semantic_errors() -> None:
         parse_graph("2 1\na\nb\na z\n")
     with pytest.raises(SelfLoopError):
         parse_graph("1 1\na\na a\n")
+
+
+# Files with two faults each (or odd but valid text): the parser must report
+# the fault the two-pass oracle reports, with the same message and line.
+PRECEDENCE = [
+    # a repeated name, then a bad edge line: the edge line's shape wins
+    "2 1\na\na\nx\n",
+    "3 2\na\nb\na\na b\nb c d\n",
+    # a repeated name, then an unknown endpoint: the repeated name wins
+    "2 1\na\na\na z\n",
+    # an unknown endpoint before a bad edge line
+    "2 2\na\nb\na z\nb\n",
+    "2 3\na\nb\nz b\na b\n\n\n",
+    # a self-loop before an unknown endpoint, and the other way round
+    "2 2\na\nb\na a\na z\n",
+    "2 2\na\nb\na z\nb b\n",
+    "1 1\na\nz z\n",
+    "2 1\na\nb\nx y\n",
+    "2 1\na\nb\na y\n",
+    # a self-loop before a bad edge line
+    "2 2\na\nb\nb b\na b c\n",
+    # tab, CR, \x0b and NBSP whitespace
+    "2 1\na\t\n\tb\na\tb\n",
+    "2 1\r\na\r\nb\r\na b\r\n",
+    "2 1\na\nb\na\x0bb\n",
+    "2 1\na\xa0\n\xa0b\na\xa0b\n",
+    "2 1\na\xa0c\nb\na b c\n",
+    "2\xa01\na\nb\na b\n",
+    "2 1\na\nb\r\na\r\n",
+    # repeated edge lines count once
+    "2 2\na\nb\na b\nb a\n",
+    "3 3\na\nb\nc\na b\na b\nb z\n",
+    # trailing blank lines, and a blank line inside
+    "1 0\na\n\n \n\t\n",
+    "2 1\na\nb\na b\n\n\n\n",
+    "2 1\na\n\nb\na b\n",
+    "3 1\na\nb\nb\n\n",
+    "",
+    " \n\n",
+]
+
+
+@pytest.mark.parametrize("text", PRECEDENCE)
+def test_parse_graph_error_precedence_matches_oracle(text: str) -> None:
+    assert outcome(parse_graph, text) == outcome(oracle_parse_graph, text)
+
+
+def test_parse_graph_repeated_edge_line_counts_once() -> None:
+    g = parse_graph("2 2\na\nb\na b\nb a\n")
+    assert g.m == 1
+    assert format_graph(g) == "2 1\na\nb\na b\n"
+
+
+def test_parse_graph_repeated_name_before_bad_edge_line() -> None:
+    with pytest.raises(FormatError) as exc:
+        parse_graph("2 1\na\na\nx\n")
+    assert exc.value.line == 4
+
+
+def _dense_graph_text(n: int = 300, density: float = 0.7) -> str:
+    rng = random.Random(0)
+    names = [f"v{i}" for i in range(n)]
+    edges = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return format_graph(make_graph(names, edges))
+
+
+def _peak_bytes(fn, *args) -> int:
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_graph_text_io_allocates_at_most_half_of_oracle() -> None:
+    text = _dense_graph_text()
+    g = parse_graph(text)
+    assert g == oracle_parse_graph(text) and g.m > 30_000
+    assert _peak_bytes(parse_graph, text) <= _peak_bytes(oracle_parse_graph, text) / 2
+    assert _peak_bytes(format_graph, g) <= _peak_bytes(oracle_format_graph, g) / 2
 
 
 def test_parse_cotree_basic() -> None:

@@ -1,0 +1,80 @@
+"""Property tests of graph text I/O against the two-pass oracle: the same
+text or graph, or the same GfreeError; any other exception fails."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from graph_text_oracle import oracle_format_graph, oracle_parse_graph, outcome
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfree import Graph, format_graph, parse_graph
+
+# names with a space cannot be written: both formatters must refuse them
+_NAMES = st.text(st.sampled_from("abcxyz019_.-é "), min_size=1, max_size=3)
+
+
+@st.composite
+def graphs(draw) -> Graph:
+    names = draw(st.lists(_NAMES, unique=True, max_size=12))
+    n = len(names)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(tuple(names), tuple(rows))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs())
+def test_format_graph_matches_oracle_and_roundtrips(g: Graph) -> None:
+    got = outcome(format_graph, g)
+    assert got == outcome(oracle_format_graph, g)
+    if isinstance(got, str):
+        assert parse_graph(got) == g
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "a", "b", "x", "0", "-1"])
+_SPACES = st.sampled_from([" ", " ", "  ", "\t", "\r", "\x0b", "\xa0", "\x1c"])
+
+
+def _line(min_tokens: int, max_tokens: int, tokens=_TOKENS, unique: bool = False):
+    return st.tuples(
+        st.sampled_from(["", "", " ", "\t"]),
+        st.lists(
+            st.tuples(tokens, _SPACES),
+            min_size=min_tokens,
+            max_size=max_tokens,
+            unique_by=(lambda t: t[0]) if unique else None,
+        ),
+        st.sampled_from(["", "", "\r", " "]),
+    ).map(lambda t: t[0] + "".join(tok + sp for tok, sp in t[1])[:-1] + t[2])
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """Graph files whose every line is well formed nine times in ten; the
+    tenth is any line of zero to three tokens."""
+
+    def pick(good, bad) -> str:
+        return draw(bad if draw(st.integers(0, 9)) == 0 else good)
+
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 6))
+    names = ["a", "b", "c", "d", "e"][:n]
+    lines = [pick(_SPACES.map(f"{n}{{}}{m}".format), _line(0, 3))]
+    lines += [pick(_line(1, 1, st.just(name)), _line(0, 2)) for name in names]
+    edge = _line(2, 2, st.sampled_from(names), unique=True) if n > 1 else _line(2, 2)
+    lines += [pick(edge, _line(0, 3)) for _ in range(m)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n\t"]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(graph_texts(), st.text(st.sampled_from("ab01 \n\t\r"), max_size=30)))
+def test_parse_graph_matches_oracle(text: str) -> None:
+    assert outcome(parse_graph, text) == outcome(oracle_parse_graph, text)

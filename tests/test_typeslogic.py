@@ -175,8 +175,19 @@ def test_phi_formula_rejects_non_extension() -> None:
         phi_formula(ConstantedGraph(make_graph(["b", "0"], []), ()), base)
     k2_base = ConstantedGraph(make_graph(["a", "b"], [("a", "b")]), ("a", "b"))
     broken = ConstantedGraph(make_graph(["a", "b", "0"], []), ("a", "b"))
-    with pytest.raises(NotAnExtensionError):
+    with pytest.raises(NotAnExtensionError, match="disagrees with the base"):
         phi_formula(broken, k2_base)
+
+
+def test_phi_formula_base_in_another_order() -> None:
+    abc = ("a", "b", "c")
+    p3_base = ConstantedGraph(make_graph(abc, [("a", "b"), ("b", "c")]), abc)
+    shuffled = make_graph(["0", "c", "b", "a"], [("a", "b"), ("b", "c"), ("0", "a")])
+    phi = phi_formula(ConstantedGraph(shuffled, abc), p3_base)
+    assert phi.render() == "E x0 . a-x0 & !(b-x0) & !(c-x0)"
+    wrong = make_graph(["0", "c", "b", "a"], [("a", "b"), ("a", "c")])
+    with pytest.raises(NotAnExtensionError, match="disagrees with the base"):
+        phi_formula(ConstantedGraph(wrong, abc), p3_base)
 
 
 def test_eval_examples() -> None:
