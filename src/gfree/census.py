@@ -1,9 +1,10 @@
 """Exhaustive enumeration of small unlabeled graphs, cotrees, and rooted trees.
 
 One representative per isomorphism class, in a deterministic order.  These
-enumerations back the brute-force cross-checks; sizes stay small (graphs up
-to ~7 vertices, trees up to ~9 leaves), so simple orbit marking and
-multiset recursion are fast enough.
+enumerations back the brute-force cross-checks; sizes stay small, so simple
+orbit marking and multiset recursion are fast enough.  Each function states
+its bound and raises TooLargeError past it, before enumerating anything:
+graphs up to 7 vertices, cotrees and rooted trees up to 12 leaves or nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+
+# The tree enumerations stop at 12, the no-Z3 sweep's target size, which
+# covers check_no_z3's current cap of 9.
+_MAX_TREE_SIZE = 12
 
 
 def graph_classes(n: int) -> list[Graph]:
@@ -116,9 +121,16 @@ def _assign_names(t: CotreeNode) -> CotreeNode:
 
 def cotree_shapes(leaves: int) -> list[CotreeNode]:
     """All valid cotrees with exactly that many leaves, up to label-preserving
-    isomorphism, with default leaf names g0, g1, ... and canonical child order."""
+    isomorphism, with default leaf names g0, g1, ... and canonical child order.
+
+    Limited to 12 leaves: TooLargeError past it, before any enumeration.
+    """
     if leaves < 1:
         raise ValueError(f"need leaves >= 1, got {leaves}")
+    if leaves > _MAX_TREE_SIZE:
+        raise TooLargeError(
+            f"cotree shapes are enumerated up to {_MAX_TREE_SIZE} leaves, got {leaves}"
+        )
     if leaves == 1:
         return [Leaf("g0")]
     out: list[CotreeNode] = []
@@ -148,7 +160,14 @@ def _rtrees(nodes: int) -> tuple[PlainTree, ...]:
 
 
 def rooted_trees(nodes: int) -> list[PlainTree]:
-    """All rooted trees with exactly that many nodes, up to isomorphism."""
+    """All rooted trees with exactly that many nodes, up to isomorphism.
+
+    Limited to 12 nodes: TooLargeError past it, before any enumeration.
+    """
     if nodes < 1:
         raise ValueError(f"need nodes >= 1, got {nodes}")
+    if nodes > _MAX_TREE_SIZE:
+        raise TooLargeError(
+            f"rooted trees are enumerated up to {_MAX_TREE_SIZE} nodes, got {nodes}"
+        )
     return list(_rtrees(nodes))

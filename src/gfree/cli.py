@@ -88,7 +88,14 @@ def _read(path: str) -> str:
 def _load_graph(path: str):
     from .textio import parse_graph
 
-    return parse_graph(_read(path))
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_graph(f)
+    except UnicodeDecodeError:
+        # The streamed decoder's offset is within its chunk: read the whole
+        # file for the error with the file's byte offset.
+        _read(path)
+        raise
 
 
 def _graph_stats(g) -> dict:

@@ -263,7 +263,9 @@ def normalize(t: CotreeNode) -> CotreeNode:
     return _canonical(t)[0]
 
 
-@lru_cache(maxsize=None)
+# A request decomposes at most two graphs, and a caller comparing graphs
+# asks for the same ones again, so the last few trees are cached.
+@lru_cache(maxsize=8)
 def decompose(g: Graph) -> CotreeNode:
     """Decomposition tree of g, or NotCograph with an induced-P4 witness.
 

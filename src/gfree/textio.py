@@ -3,16 +3,20 @@
 Graph files: first line "n m", then n vertex-name lines, then m lines
 "u v".  UTF-8 with LF endings; names are whitespace-free tokens, and any
 other whitespace (tab, CR, NBSP, ...) separates or surrounds tokens.  A
-repeated edge line counts once.  The parser reads the edge lines in one
-pass, ORing each edge into the adjacency rows, and builds no list of
-edges.  Errors come in a fixed order: the header, the line count, the
+repeated edge line counts once.  The parser reads an open file a chunk of
+lines at a time (a string is one chunk) and ORs each edge line into the
+adjacency rows; it keeps the names, the rows and the first fault of each
+kind, never the lines, so a read costs memory for the graph, not for the
+file.  Every fault is raised at the end of the file, so an invalid UTF-8
+byte anywhere in it comes first; then the faults come in a fixed order:
+the header, the line count (blank lines at the end do not count), the
 first bad name line, the first edge line that is not two tokens, a
 repeated name, then the first edge line with a self-loop or an unknown
-endpoint.  At the first fault of the last two kinds the parser goes on
-checking only the shape of the edge lines, then lets make_graph, the one
-validator of names and edges, raise.  The formatter writes the edges from
-each vertex to the later ones as one chunk, so edges come out in declared
-order of their first and then their second endpoint.
+endpoint.  For the last two kinds the parser keeps the names and the first
+offending pair, and lets make_graph, the one validator of names and edges,
+raise.  The formatter writes the edges from each vertex to the later ones
+as one chunk, so edges come out in declared order of their first and then
+their second endpoint.
 
 Cotree files: one s-expression, internal node "(<label> child ...)" with
 label 0 or 1, leaf = vertex name.  The strict parser rejects structural
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from .errors import FormatError
 from .graphs import Graph, make_graph
@@ -50,54 +54,96 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^\S+$")
+_CHUNK = 8192  # characters per readlines chunk
 
 
-def parse_graph(text: str) -> Graph:
-    lines = text.split("\n")
-    # ignore a trailing newline's empty tail and stray blank lines at the end
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("empty graph file", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError('first line must be "n m"', line=1)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError('first line must be "n m" with integers', line=1) from None
-    if n < 0 or m < 0:
-        raise FormatError("vertex and edge counts must be nonnegative", line=1)
-    if len(lines) != 1 + n + m:
-        raise FormatError(
-            f"expected {1 + n + m} lines for n={n}, m={m}, got {len(lines)}",
-            line=len(lines),
-        )
+def parse_graph(source: str | TextIO) -> Graph:
+    """Parse a graph file's text, or read an open text file in chunks.
+
+    A file is read with readlines(_CHUNK), about 8 KiB of lines at a time,
+    and a string is one chunk, its text split at "\n".  Only the names, the
+    adjacency rows and the first fault of each kind are kept, never the
+    lines.  The faults are raised after the last chunk, in the order of the
+    module docstring, so an error of the file itself (UnicodeDecodeError
+    from a UTF-8 text file) comes before any of them.
+    """
+    if isinstance(source, str):
+        chunks = iter((source.split("\n"),))
+    else:
+        chunks = iter(lambda: source.readlines(_CHUNK), [])
+    n = m = 0  # until a valid header; then lines 1..n are names, the next m edges
+    head_fault = name_fault = shape_fault = None
+    count = 0  # the lines up to the last nonblank one
     names: list[str] = []
-    for i in range(n):
-        name = lines[1 + i].strip()
-        if not _NAME_RE.match(name):
-            raise FormatError("vertex name must be one nonempty token", line=2 + i)
-        names.append(name)
-    index = dict(zip(names, range(n)))
-    bit = [1 << i for i in range(n)]
-    rows = [0] * n
-    anomaly = len(index) != n  # a repeated name
-    for k in range(1 + n, len(lines)):
-        parts = lines[k].split()
-        if len(parts) != 2:
-            raise FormatError('edge line must be "u v"', line=k + 1)
-        if anomaly:
-            continue
-        i, j = index.get(parts[0]), index.get(parts[1])
-        if i is None or j is None or i == j:
-            anomaly = True  # an unknown endpoint or a self-loop
-            continue
-        rows[i] |= bit[j]
-        rows[j] |= bit[i]
+    index: dict[str, int] | None = None  # built once every name is read
+    anomaly = False  # a repeated name, an unknown endpoint or a self-loop
+    pair = None  # the first edge line with an unknown endpoint or a self-loop
+    start = 0  # the position of the chunk's first line in the file
+    for lines in chunks:
+        stop = start + len(lines)
+        for k in range(len(lines) - 1, -1, -1):
+            if lines[k].strip():
+                count = start + k + 1
+                break
+        if start == 0:
+            head = lines[0].split()
+            if len(head) != 2:
+                head_fault = 'first line must be "n m"'
+            else:
+                try:
+                    n, m = int(head[0]), int(head[1])
+                except ValueError:
+                    head_fault = 'first line must be "n m" with integers'
+                else:
+                    if n < 0 or m < 0:
+                        head_fault = "vertex and edge counts must be nonnegative"
+            if head_fault:
+                n = m = 0
+        for k in range(max(start, 1), min(stop, 1 + n)):
+            name = lines[k - start].strip()
+            if name_fault is None and not _NAME_RE.match(name):
+                name_fault = k + 1
+            names.append(name)
+        if index is None and stop >= 1 + n:
+            index = dict(zip(names, range(n)))
+            bit = [1 << i for i in range(n)]
+            rows = [0] * n
+            anomaly = len(index) != n
+        first, last = max(start, 1 + n), min(stop, 1 + n + m)
+        for k, line in enumerate(lines[first - start : max(first, last) - start], first + 1):
+            try:
+                u, v = line.split()
+            except ValueError:
+                if shape_fault is None:
+                    shape_fault = k
+                continue
+            if anomaly:
+                continue
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                i = j = None
+            if i == j:  # an unknown endpoint or a self-loop
+                anomaly, pair = True, (u, v)
+                continue
+            rows[i] |= bit[j]
+            rows[j] |= bit[i]
+        start = stop
+    if not count:
+        raise FormatError("empty graph file", line=1)
+    if head_fault:
+        raise FormatError(head_fault, line=1)
+    if count != 1 + n + m:
+        raise FormatError(
+            f"expected {1 + n + m} lines for n={n}, m={m}, got {count}", line=count
+        )
+    if name_fault:
+        raise FormatError("vertex name must be one nonempty token", line=name_fault)
+    if shape_fault:
+        raise FormatError('edge line must be "u v"', line=shape_fault)
     if anomaly:
-        # Every edge line has its shape; make_graph names the first fault.
-        return make_graph(names, (line.split() for line in lines[1 + n :]))
+        # make_graph, the one validator, names the repeated name or the pair
+        return make_graph(names, [pair] if pair else [])
     return Graph(tuple(names), tuple(rows))
 
 

@@ -11,15 +11,16 @@ forbidden-free extensions that hold in it.
 
 Enumeration, deduplication and evaluation run on the graphs' adjacency
 rows (Graph.rows).  Each candidate extension is its parent's rows plus one
-new row, and stays a rows tuple unless it is kept.  A parent is already
-forbidden-free, so the candidates' freeness comes from one pass per parent:
-the traces that the embeddings of F minus one vertex leave in it
-(_free_masks).  Deduplication gives each fresh position a signature, its
-neighbours among the base and its degree.  A candidate meets only the kept
-graphs with its multiset of signatures, and once two of those exist, only
-those with its refined key as well (_refined_key).  The exact check
-(_fixes_base) runs the graph layer's one search on positions, placing each
-fresh position only where the kept graph's signature table allows.
+new row, and stays a rows tuple unless it is kept; a kept one is a plain
+Graph, which only enumerate_extensions wraps with the base's constants.  A
+parent is already forbidden-free, so the candidates' freeness comes from
+one pass per parent: the traces that the embeddings of F minus one vertex
+leave in it (_free_masks).  Deduplication gives each fresh position a
+signature, its neighbours among the base and its degree.  A candidate meets
+only the kept graphs with its multiset of signatures, and once two of those
+exist, only those with its refined key as well (_refined_key).  The exact
+check (_fixes_base) runs the graph layer's one search on positions, placing
+each fresh position only where the kept graph's signature table allows.
 Evaluation searches over int-mask domains of target positions, and
 type_fragment skips every extension whose parent's formula already failed,
 since the child's formula contains it.
@@ -205,9 +206,10 @@ def _free_masks(g: Graph, pieces: list[tuple[tuple[int, ...], int]]) -> list[int
 
 def _extension_tree(
     base: ConstantedGraph, forbidden: Graph, k: int
-) -> tuple[tuple[ConstantedGraph, ...], tuple[int, ...]]:
-    """The extensions of enumerate_extensions, each with the position (in
-    the same tuple) of the kept graph it was built from; -1 for the base."""
+) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
+    """The graphs of enumerate_extensions, base first, each with the
+    position (in the same tuple) of the kept graph it was built from; -1 for
+    the base.  The base's vertices come first in every graph, in order."""
     if k < 0:
         raise BadSizeError(f"need k >= 0, got {k}")
     pinned = base.graph.n
@@ -259,8 +261,7 @@ def _extension_tree(
                 graphs.append(Graph(names, rows))
                 parents.append(parent)
         start = end
-    exts = (base, *(ConstantedGraph(g, base.constants) for g in graphs[1:]))
-    return exts, tuple(parents)
+    return tuple(graphs), tuple(parents)
 
 
 def enumerate_extensions(
@@ -282,7 +283,8 @@ def enumerate_extensions(
     parent, of n + k - 1 vertices, may have at most 20, or TooLargeError is
     raised.  With k = 0 nothing is listed and any base is accepted.
     """
-    return list(_extension_tree(base, forbidden, k)[0])
+    graphs = _extension_tree(base, forbidden, k)[0]
+    return [base, *(ConstantedGraph(g, base.constants) for g in graphs[1:])]
 
 
 def phi_formula(ext: ConstantedGraph, base: ConstantedGraph) -> ExistentialFormula:
@@ -299,11 +301,19 @@ def phi_formula(ext: ConstantedGraph, base: ConstantedGraph) -> ExistentialFormu
     identity = {v: v for v in base_verts}
     if not _is_isomorphism(base.graph, induced_subgraph(ext_g, base_verts), identity):
         raise NotAnExtensionError("extension disagrees with the base on base edges")
-    index, rows = ext_g.index, ext_g.rows
+    index = ext_g.index
     fresh = [index[v] for v in ext_g.vertices if v not in set(base_verts)]
+    return _formula(ext_g.rows, base_verts, [index[v] for v in base_verts], fresh)
+
+
+def _formula(
+    rows: tuple[int, ...], base_verts: tuple[str, ...], pinned: list[int], fresh: list[int]
+) -> ExistentialFormula:
+    """phi_formula of an extension's rows, given the positions of the base
+    vertices and of the fresh ones."""
     literals: list[tuple[Term, Term, bool]] = []
-    for v in base_verts:
-        row = rows[index[v]]
+    for v, p in zip(base_verts, pinned):
+        row = rows[p]
         literals.extend((v, i, bool(row >> x & 1)) for i, x in enumerate(fresh))
     for (i, x), (j, y) in itertools.combinations(enumerate(fresh), 2):
         literals.append((i, j, bool(rows[x] >> y & 1)))
@@ -381,7 +391,7 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
 @lru_cache(maxsize=8)
 def _cached_extensions(
     base: ConstantedGraph, forbidden: Graph, k: int
-) -> tuple[tuple[ConstantedGraph, ...], tuple[int, ...]]:
+) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
     return _extension_tree(base, forbidden, k)
 
 
@@ -398,13 +408,16 @@ def type_fragment(
     base = ConstantedGraph(
         induced_subgraph(target.graph, target.constants), target.constants
     )
-    exts, parents = _cached_extensions(base, forbidden, k)
+    graphs, parents = _cached_extensions(base, forbidden, k)
+    # every extension lists the base vertices first, then the fresh ones
+    base_verts = base.graph.vertices
+    pinned = list(range(len(base_verts)))
     holds: list[bool] = []
     out = []
-    for ext, parent in zip(exts, parents):
+    for g, parent in zip(graphs, parents):
         ok = parent < 0 or holds[parent]
         if ok:
-            phi = phi_formula(ext, base)
+            phi = _formula(g.rows, base_verts, pinned, list(range(len(pinned), g.n)))
             ok = eval_existential(phi, target)
             if ok:
                 out.append(phi)

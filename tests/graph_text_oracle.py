@@ -4,6 +4,7 @@ and the formatter that writes one line per edge position pair.
 
 textio.parse_graph and textio.format_graph must agree with these on every
 input: the same graph or text, or the same error class, message and line.
+ShortReads feeds parse_graph a file in chunks of a chosen size.
 """
 
 from __future__ import annotations
@@ -69,3 +70,14 @@ def outcome(fn, *args):
         return fn(*args)
     except GfreeError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+class ShortReads:
+    """An open text file whose readlines ignores its size hint and takes a
+    fixed one, so a small file is read in many chunks."""
+
+    def __init__(self, file, hint: int):
+        self.file, self.hint = file, hint
+
+    def readlines(self, hint: int = -1) -> list[str]:
+        return self.file.readlines(self.hint)

@@ -123,3 +123,20 @@ def test_rooted_trees_cover_all_shapes() -> None:
         ours = {plain_tree_code(t) for t in rooted_trees(n)}
         assert len(ours) == len(rooted_trees(n))
         assert ours == _increasing_tree_codes(n)
+
+
+@pytest.mark.parametrize(
+    "enumerate_trees, recursion", [(cotree_shapes, "_shapes"), (rooted_trees, "_rtrees")]
+)
+def test_tree_enumerations_state_their_bound(monkeypatch, enumerate_trees, recursion) -> None:
+    from gfree import census
+
+    def enumerates(*args):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr(census, recursion, enumerates)
+    with pytest.raises(TooLargeError, match="up to 12"):
+        enumerate_trees(13)
+    # The bound is 12 itself: that call reaches the enumeration.
+    with pytest.raises(AssertionError):
+        enumerate_trees(12)

@@ -361,6 +361,13 @@ def test_module_enumeration_states_its_bound() -> None:
     assert len(_module_masks(path_graph(12))) == 13
 
 
+def test_decompose_cache_is_bounded() -> None:
+    for n in range(1, 12):  # eleven distinct graphs
+        decompose(make_graph([f"v{i}" for i in range(n)], []))
+    info = decompose.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+
+
 def test_module_formulas_match_oracles_small() -> None:
     small = [g for n in range(2, 7) for g in cograph_classes(n)]
     for g in small + RANDOM_COGRAPHS:

@@ -486,10 +486,10 @@ def test_rows_of_extension_candidates() -> None:
             base = ConstantedGraph(base_g, tuple(names[:1]))
             k = rng.randint(1, 3)
             exts, parents = _extension_tree(base, forbidden, k)
-            assert list(exts) == enumerate_extensions(base, forbidden, k)
+            wrapped = [ConstantedGraph(g, base.constants) for g in exts]
+            assert wrapped == enumerate_extensions(base, forbidden, k)
             built: dict[int, list[Graph]] = {}
-            for p, ext in enumerate(exts):
-                parent = ext.graph
+            for p, parent in enumerate(exts):
                 if parent.n == base_g.n + k:
                     continue
                 new = str(parent.n - base_g.n)
@@ -501,7 +501,7 @@ def test_rows_of_extension_candidates() -> None:
                 assert _free_masks(parent, pieces) == free
                 blocked += len(built[p]) - len(free)
             for ext, p in zip(exts[1:], parents[1:]):
-                want = built[p][ext.graph.rows[-1]]
-                assert ext.graph == want
-                _assert_valid_rows(ext.graph, set(want.edges))
+                want = built[p][ext.rows[-1]]
+                assert ext == want
+                _assert_valid_rows(ext, set(want.edges))
     assert blocked > 1000

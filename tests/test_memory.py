@@ -1,0 +1,69 @@
+"""A graph file costs a CLI request memory for the graph, not for its text.
+
+Each request runs as `python -m gfree.cli recognize FILE`, spawned with
+os.posix_spawn from a small helper process and reaped with os.wait4, whose
+ru_maxrss is the request's peak RSS.  On Linux a child's peak RSS includes
+that of the process that spawned it, so the requests are not spawned from
+the test process itself.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gfree
+from gfree import format_graph, make_graph
+
+pytestmark = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_maxrss of a reaped child is read on Linux"
+)
+
+SRC = Path(gfree.__file__).resolve().parent.parent
+
+# Spawns each argv, one JSON list per line of stdin, and prints its exit
+# code and peak RSS in KiB.
+_SPAWNER = """
+import json, os, sys
+for line in sys.stdin:
+    argv = json.loads(line)
+    pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=[
+        (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, flush=True)
+"""
+
+
+def _peak_rss_kib(paths: list[Path]) -> list[int]:
+    """The peak RSS of `recognize` on each file, with a discarded first run."""
+    requests = [[sys.executable, "-m", "gfree.cli", "recognize", str(p)] for p in paths]
+    done = subprocess.run(
+        [sys.executable, "-c", _SPAWNER],
+        input="".join(json.dumps(argv) + "\n" for argv in [requests[0], *requests]),
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    outcomes = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [code for code, _ in outcomes] == ["1", "0"]  # the dense graph holds a P4
+    return [int(kib) for _, kib in outcomes]
+
+
+def test_dense_graph_file_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> None:
+    rng = random.Random(0)
+    names = [f"v{i}" for i in range(300)]
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.9]
+    dense, small = tmp_path / "dense.graph", tmp_path / "small.graph"
+    dense.write_text(format_graph(make_graph(names, edges)), encoding="utf-8")
+    small.write_text("3 2\na\nb\nc\na b\nb c\n", encoding="utf-8")
+    assert dense.stat().st_size > 350_000
+    dense_kib, small_kib = _peak_rss_kib([dense, small])
+    assert dense_kib - small_kib < 1.5 * 1024, (dense_kib, small_kib)

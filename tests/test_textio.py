@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from graph_text_oracle import oracle_format_graph, oracle_parse_graph, outcome
+from graph_text_oracle import (
+    ShortReads,
+    oracle_format_graph,
+    oracle_parse_graph,
+    outcome,
+)
 
 from gfree import (
     DuplicateVertexError,
@@ -25,6 +31,7 @@ from gfree import (
     path_graph,
     plain_tree_code,
 )
+from gfree.cli import _load_graph, run_command
 
 
 def test_parse_graph_basic() -> None:
@@ -121,6 +128,27 @@ def test_parse_graph_error_precedence_matches_oracle(text: str) -> None:
     assert outcome(parse_graph, text) == outcome(oracle_parse_graph, text)
 
 
+@pytest.mark.parametrize("text", PRECEDENCE)
+def test_streamed_read_matches_text_parse(tmp_path: Path, text: str) -> None:
+    path = tmp_path / "in.graph"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(parse_graph, path.read_text(encoding="utf-8"))
+    assert outcome(_load_graph, str(path)) == want
+    # chunks of one line, and of a few, put chunk boundaries everywhere
+    for hint in (1, 12):
+        with open(path, encoding="utf-8") as f:
+            assert outcome(parse_graph, ShortReads(f, hint)) == want
+
+
+def test_invalid_utf8_beats_a_format_fault_and_gives_the_file_offset(tmp_path: Path) -> None:
+    head = b"x y z\n" + b"a b\n" * 30_000
+    path = tmp_path / "bad.graph"
+    path.write_bytes(head[:100_000] + b"\xff" + head[100_000:])
+    result = run_command(["recognize", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == f"error: {path}: not UTF-8 (invalid start byte at byte 100000)\n"
+
+
 def test_parse_graph_repeated_edge_line_counts_once() -> None:
     g = parse_graph("2 2\na\nb\na b\nb a\n")
     assert g.m == 1
@@ -165,6 +193,22 @@ def test_graph_text_io_allocates_at_most_half_of_oracle() -> None:
     assert g == oracle_parse_graph(text) and g.m > 30_000
     assert _peak_bytes(parse_graph, text) <= _peak_bytes(oracle_parse_graph, text) / 2
     assert _peak_bytes(format_graph, g) <= _peak_bytes(oracle_format_graph, g) / 2
+
+
+def test_streamed_read_peak_is_the_graph_not_the_file(tmp_path: Path) -> None:
+    text = _dense_graph_text(density=0.9)
+    head, rest = text.split("\n", 1)
+    n, m = map(int, head.split())
+    names, edges = rest.split("\n")[:n], rest.split("\n")[n:-1]
+    assert n >= 300 and m >= 40_000
+    once, twice = tmp_path / "once.graph", tmp_path / "twice.graph"
+    once.write_text(text, encoding="utf-8")
+    # the same graph with every edge line written twice
+    twice.write_text("\n".join([f"{n} {2 * m}", *names, *edges, *edges]) + "\n", encoding="utf-8")
+    assert _load_graph(str(once)) == _load_graph(str(twice)) == parse_graph(text)
+    peak = _peak_bytes(_load_graph, str(once))
+    assert peak < 500_000
+    assert _peak_bytes(_load_graph, str(twice)) < 1.25 * peak
 
 
 def test_parse_cotree_basic() -> None:

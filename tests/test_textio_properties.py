@@ -7,11 +7,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from graph_text_oracle import oracle_format_graph, oracle_parse_graph, outcome
+from graph_text_oracle import ShortReads, oracle_format_graph, oracle_parse_graph, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfree import Graph, format_graph, parse_graph
+from gfree.cli import _load_graph
 
 # names with a space cannot be written: both formatters must refuse them
 _NAMES = st.text(st.sampled_from("abcxyz019_.-é "), min_size=1, max_size=3)
@@ -74,7 +75,23 @@ def graph_texts(draw) -> str:
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n\t"]))
 
 
+_GRAPH_TEXTS = st.one_of(graph_texts(), st.text(st.sampled_from("ab01 \n\t\r"), max_size=30))
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(st.one_of(graph_texts(), st.text(st.sampled_from("ab01 \n\t\r"), max_size=30)))
+@given(_GRAPH_TEXTS)
 def test_parse_graph_matches_oracle(text: str) -> None:
     assert outcome(parse_graph, text) == outcome(oracle_parse_graph, text)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_GRAPH_TEXTS, st.integers(1, 12))
+def test_streamed_read_matches_text_parse(tmp_path_factory, text: str, hint: int) -> None:
+    """A file on disk, CRs included, reads as its decoded text parses, at
+    the default chunk size and at a chunk of hint characters of lines."""
+    path = tmp_path_factory.getbasetemp() / "streamed.graph"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(parse_graph, path.read_text(encoding="utf-8"))
+    assert outcome(_load_graph, str(path)) == want
+    with open(path, encoding="utf-8") as f:
+        assert outcome(parse_graph, ShortReads(f, hint)) == want
