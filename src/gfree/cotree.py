@@ -198,7 +198,7 @@ def ensure_valid(t: CotreeNode) -> None:
 
 
 def _path_str(path: tuple[int, ...]) -> str:
-    return "/" + "/".join(str(i) for i in path) if path else "/"
+    return "/" + "/".join(map(str, path)) if path else "/"
 
 
 _T = TypeVar("_T")

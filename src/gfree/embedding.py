@@ -6,14 +6,23 @@ when the decomposition tree of G maps into the decomposition tree of H by
 an injective, order-preserving, label-preserving map under which the label
 of the meet of any two leaves is preserved.
 
+label_meet_embed finds that map with graphs._placements, the one search,
+on the tree nodes in preorder.  A node's relation row holds its ancestors
+and descendants and, for a leaf, the leaves whose meet with it is labelled
+1 (its adjacency in the realized graph).  Labels are kept, so for two
+leaves the row is the meet-label constraint; for other pairs it keeps
+comparability but not its direction.  A complete map keeps the direction
+anyway: if q is above p, q has a second child and so a leaf m outside p's
+subtree, whose image lies below q's image and is unrelated to p's image,
+so p's image cannot lie above q's.  The complete maps are thus the
+order-preserving ones, and the witness is the first in target preorder.
+
 The tree functions import the cotree layer when they run, so the
 cycle-antichain half (which the gadget layer uses) loads only `graphs`.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -26,6 +35,8 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _fits,
+    _placements,
     complement,
     cycle_graph,
     find_induced_embedding,
@@ -59,84 +70,70 @@ class TreeEmbedding:
         return dict(self.pairs)
 
 
-def _is_ancestor(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    return len(p) <= len(q) and q[: len(p)] == p
+def _tree_rows(t: CotreeNode) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """t's nodes in preorder: their paths, their keys (label, then the
+    subtree's numbers of leaves, 0-nodes and 1-nodes) and their relation
+    rows.  A subtree is the interval of positions from its root to its end."""
+    from .cotree import iter_nodes
 
-
-def _subtree_counts(t: CotreeNode) -> dict[tuple[int, ...], Counter]:
-    """Per node: how many leaves, 0-nodes, and 1-nodes its subtree holds."""
-    from .cotree import Inner, iter_nodes
-
-    counts: dict[tuple[int, ...], Counter] = {}
-    for path, node in sorted(iter_nodes(t), key=lambda pn: -len(pn[0])):
-        c = Counter({node.label: 1})
-        if isinstance(node, Inner):
-            for i in range(len(node.children)):
-                c.update(counts[path + (i,)])
-        counts[path] = c
-    return counts
+    nodes = list(iter_nodes(t))
+    n = len(nodes)
+    labels = [node.label for _, node in nodes]
+    up: list[int] = []  # each node's parent, -1 for the root
+    end = [n] * n
+    spine: list[int] = []  # the nodes whose subtree is still open, root first
+    for i, (path, _) in enumerate(nodes):
+        for k in spine[len(path) :]:
+            end[k] = i
+        del spine[len(path) :]
+        up.append(spine[-1] if spine else -1)
+        spine.append(i)
+    leaves = sum(1 << i for i, label in enumerate(labels) if label == 2)
+    zeros = sum(1 << i for i, label in enumerate(labels) if label == 0)
+    subs = [(1 << e) - (1 << i) for i, e in enumerate(end)]
+    keys = []
+    for i, sub in enumerate(subs):
+        nl, n0 = (sub & leaves).bit_count(), (sub & zeros).bit_count()
+        keys.append((labels[i], nl, n0, end[i] - i - nl - n0))
+    # Top down, each node's ancestors, and the leaves met at a 1-node above
+    # it: that node's leaves outside the child the path goes through.
+    above, joined, rows = [0] * n, [0] * n, []
+    for i, p in enumerate(up):
+        if p >= 0:
+            above[i] = above[p] | 1 << p
+            joined[i] = joined[p] | (subs[p] ^ subs[i]) & leaves if labels[p] == 1 else joined[p]
+        rows.append(above[i] | (joined[i] if labels[i] == 2 else subs[i] ^ 1 << i))
+    return [path for path, _ in nodes], keys, rows
 
 
 def label_meet_embed(source: CotreeNode, target: CotreeNode) -> TreeEmbedding | None:
-    """First embedding of source into target, or None.
+    """First embedding of source into target in target preorder, or None.
 
-    Nodes are assigned in source preorder, candidates tried in target
-    preorder; pruning by per-label subtree counts.  Leaf pairs must keep
-    their meet label.  The search backtracks with an explicit stack, so
-    its depth is not bounded by the interpreter's recursion limit.
+    A node's candidates are cut down to the target nodes with its label and
+    at least its subtree's counts, computed once per distinct key.
     """
-    from .cotree import ensure_valid, iter_nodes, meet_path
+    from .cotree import ensure_valid
 
     ensure_valid(source)
     ensure_valid(target)
-    s_nodes = list(iter_nodes(source))
-    t_nodes = list(iter_nodes(target))
-    s_counts = _subtree_counts(source)
-    t_counts = _subtree_counts(target)
-    s_label = {p: n.label for p, n in s_nodes}
-    t_label = {p: n.label for p, n in t_nodes}
-
-    assigned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    used: set[tuple[int, ...]] = set()
-
-    def fits(sp: tuple[int, ...], tp: tuple[int, ...]) -> bool:
-        if t_label[tp] != s_label[sp]:
-            return False
-        sc, tc = s_counts[sp], t_counts[tp]
-        if any(tc[lab] < sc[lab] for lab in (0, 1, 2)):
-            return False
-        for qp, qt in assigned.items():
-            if _is_ancestor(qp, sp) != _is_ancestor(qt, tp):
-                return False
-            if _is_ancestor(sp, qp) != _is_ancestor(tp, qt):
-                return False
-            if s_label[sp] == 2 and s_label[qp] == 2:
-                sm = s_label[meet_path(sp, qp)]
-                tm = t_label[meet_path(tp, qt)]
-                if sm != tm:
-                    return False
-        return True
-
-    # Depth-first over source nodes with an explicit stack: tried[i] is the
-    # target index that source node i took, and a backtrack resumes there.
-    tried: list[int] = []
-    start = 0
-    while len(tried) < len(s_nodes):
-        sp = s_nodes[len(tried)][0]
-        for k in range(start, len(t_nodes)):
-            tp = t_nodes[k][0]
-            if tp not in used and fits(sp, tp):
-                assigned[sp] = tp
-                used.add(tp)
-                tried.append(k)
-                start = 0
-                break
-        else:
-            if not tried:
-                return None
-            start = tried.pop() + 1
-            used.remove(assigned.pop(s_nodes[len(tried)][0]))
-    return TreeEmbedding(tuple(sorted(assigned.items())))
+    s_paths, s_keys, s_rows = _tree_rows(source)
+    t_paths, t_keys, t_rows = _tree_rows(target)
+    by_key: dict[tuple[int, ...], int] = {}
+    for j, key in enumerate(t_keys):
+        by_key[key] = by_key.get(key, 0) | 1 << j
+    room = {  # the masks of distinct keys are disjoint, so their sum is their union
+        (label, nl, n0, n1): sum(
+            m
+            for (tl, tnl, tn0, tn1), m in by_key.items()
+            if tl == label and tnl >= nl and tn0 >= n0 and tn1 >= n1
+        )
+        for label, nl, n0, n1 in set(s_keys)
+    }
+    fits = [f & room[key] for f, key in zip(_fits(s_rows, t_rows), s_keys)]
+    pairs = next(_placements(s_rows, t_rows, fits, range(len(s_rows))), None)
+    if pairs is None:
+        return None
+    return TreeEmbedding(tuple((s_paths[p], t_paths[h]) for p, h in pairs))
 
 
 def cograph_induced_via_trees(g: Graph, h: Graph) -> bool:

@@ -15,8 +15,9 @@ from the rows on demand, and each graph caches one vertex -> position dict.
 
 One search engine, _placements, works on positions and serves induced
 embeddings, freeness, isomorphism, automorphism enumeration and counting
-(automorphism.py) and the traces and deduplication of the types layer
-(typeslogic.py).  A pattern vertex's candidates are an intersection of
+(automorphism.py), the traces and deduplication of the types layer
+(typeslogic.py) and the label/meet embedding of decomposition trees
+(embedding.py).  A pattern vertex's candidates are an intersection of
 host rows.  The search is iterative, so its depth is not bounded by the
 interpreter's recursion limit.  Pattern vertices are assigned in declared
 order and candidates tried in the host's declared order, so the witness is
@@ -383,7 +384,8 @@ def _placements(
     host positions, as (pattern, host) pairs, that keeps adjacency between
     the placed positions.
 
-    Every induced-subgraph search of the package runs here.  Position
+    Every induced-subgraph search of the package runs here, tree
+    embeddings (whose rows relate tree nodes) included.  Position
     order[d]'s candidates are fits[order[d]] minus used and minus the host
     positions taken at earlier depths, intersected with the host row (or
     its complement) of every earlier placement.  Whatever else a caller

@@ -332,6 +332,17 @@ def test_validate_of_deep_caterpillar_runs_without_recursion(tmp_path: Path) -> 
     assert (res.exit_code, res.stdout) == (0, "valid\n")
 
 
+def test_embed_of_deep_caterpillar_into_itself_is_the_identity(tmp_path: Path) -> None:
+    tree = _write(tmp_path, "deep.tree", _caterpillar_text(300) + "\n")
+    graph = _write(tmp_path, "deep.graph", run_command(["realize", tree]).stdout)
+    res = run_command(["embed", graph, graph, "--json"])
+    assert res.exit_code == 0
+    witness = json.loads(res.stdout)["witness"]
+    # 301 leaves and 300 inner nodes, each mapped to itself: the first placement
+    assert len(witness) == 601
+    assert all(pair["from"] == pair["to"] for pair in witness)
+
+
 def test_tree_lift_of_deep_path_runs_without_recursion(tmp_path: Path) -> None:
     depth = 2000
     res = run_command(["tree-lift", _write(tmp_path, "deep.tree", "(" * depth + ")" * depth + "\n")])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -35,8 +36,8 @@ from gfree import (
     path_graph,
     complement,
 )
-from gfree.cotree import iter_nodes, meet_path
-from gfree.embedding import TreeEmbedding, _is_ancestor, _subtree_counts
+from gfree.cotree import Inner, iter_nodes, meet_path
+from gfree.embedding import TreeEmbedding
 
 P3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K3_PLUS_K1 = make_graph("abcd", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -61,9 +62,28 @@ def test_label_meet_embed_single_leaf() -> None:
     assert label_meet_embed(Leaf("a"), parse_cotree("(0 x y)")) is not None
 
 
+def _is_ancestor(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    return len(p) <= len(q) and q[: len(p)] == p
+
+
+def _subtree_counts(t) -> dict[tuple[int, ...], Counter]:
+    """Per node path: how many leaves, 0-nodes and 1-nodes its subtree holds."""
+    counts: dict[tuple[int, ...], Counter] = {}
+    for path, node in sorted(iter_nodes(t), key=lambda pn: -len(pn[0])):
+        c = Counter({node.label: 1})
+        if isinstance(node, Inner):
+            for i in range(len(node.children)):
+                c.update(counts[path + (i,)])
+        counts[path] = c
+    return counts
+
+
 def _recursive_label_meet_embed(source, target) -> TreeEmbedding | None:
-    """label_meet_embed as it was when it recursed once per source node:
-    the reference for the explicit-stack search's first witness."""
+    """The label/meet criterion searched directly on node paths: recursion
+    over source nodes in preorder, target candidates in preorder, ancestry
+    compared in both directions by path prefix and meet labels compared
+    per leaf pair.  Apart from the traversal iter_nodes it shares no code
+    with label_meet_embed, and it is the reference for its first witness."""
     s_nodes = list(iter_nodes(source))
     t_nodes = list(iter_nodes(target))
     s_counts = _subtree_counts(source)
@@ -130,6 +150,27 @@ def test_label_meet_embed_matches_recursive_search_randomized() -> None:
         assert got == _recursive_label_meet_embed(source, target)
         found += got is not None
     assert 150 < found < 300  # both verdicts are exercised
+
+
+def test_cograph_induced_via_trees_matches_networkx() -> None:
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        out = nx.Graph()
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from(g.edges)
+        return out
+
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(200):
+        g = _random_cograph(rng, rng.randint(1, 7))
+        h = _random_cograph(rng, rng.randint(1, 14))
+        expected = GraphMatcher(to_nx(h), to_nx(g)).subgraph_is_isomorphic()
+        assert cograph_induced_via_trees(g, h) == expected
+        found += expected
+    assert 0 < found < 200  # both verdicts are exercised
 
 
 def test_cograph_induced_examples() -> None:
