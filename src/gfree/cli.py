@@ -1,20 +1,28 @@
 """Command-line interface.
 
 Exit codes: 0 = success or affirmative answer, 1 = well-formed negative
-answer, 2 = input error (unreadable, non-UTF-8 or malformed input), 3 =
-internal error, printed as `internal error: <Type>: <message>`.  Output is
+answer, 2 = input error (unreadable, non-UTF-8 or malformed input) or a
+report that cannot be written, 3 = internal error, printed as
+`internal error: <Type>: <message>`.  Output is
 deterministic: identical inputs give byte-identical output.  `--json` wraps
 every report in an object with fields command, inputs, verdict, optional
 witness, and stats; an error becomes an object with verdict "error" and its
 text in message.
 
 Every handler returns one Report, and _render turns it into text or JSON.
+A report's text is a string or, for a printed graph, a sequence of pieces:
+main writes them to stdout as they come, joined into batches of about 64
+KiB, so printing a graph costs memory for one batch, not for the whole
+text, and the number of writes does not grow with the number of edge
+lines; run_command joins them, so its stdout is a string.  When stdout
+cannot be written (a full disk, a closed pipe), main exits 2 with one
+error line on stderr, never with the report's verdict.
 
 Start-up is kept lean, because a request's cost is mostly start-up: at
-module level this file imports only argparse, sys, pathlib and errors, and
-each handler imports the layer functions it calls when it runs, so a
-request loads only the modules whose code it runs (`json` only under
---json).  Handlers look the functions up in their defining modules at call
+module level this file imports only argparse, sys, pathlib, typing and
+errors, and each handler imports the layer functions it calls when it
+runs, so a request loads only the modules whose code it runs (`json` only
+under --json).  Handlers look the functions up in their defining modules at call
 time, so a rebinding of a module attribute (a test's monkeypatch, a
 tracer's wrapper) takes effect.  run_command builds the parser of the
 requested subcommand only; --help, no arguments and an unknown command get
@@ -26,10 +34,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .errors import Factory, FormatError, GfreeError, NotCographError, record
 
 __all__ = ["CommandResult", "run_command", "main"]
+
+_BATCH = 1 << 16  # characters per stdout write of a report in pieces
 
 
 @record
@@ -41,24 +52,28 @@ class CommandResult:
 @record
 class Report:
     """What a command found: the exit code, the JSON verdict, the text
-    output, and the JSON witness (omitted when None) and stats."""
+    output (a string or its pieces), and the JSON witness (omitted when
+    None) and stats."""
 
     exit_code: int
     verdict: str
-    text: str
+    text: str | Iterable[str]
     witness: object = None
     stats: dict = Factory(dict)
 
+
+# An exit code and the text to print, as a string or its pieces.
+Output = tuple[int, "str | Iterable[str]"]
 
 # Parsed arguments that are not inputs of the command's result.
 _NOT_INPUTS = {"command", "func", "json", "sidecar"}
 
 
-def _render(args: argparse.Namespace, report: Report, **fields) -> CommandResult:
-    """The report's text, or under --json its sorted-key JSON object; fields
-    add to or override the object's top-level keys."""
+def _render(args: argparse.Namespace, report: Report, **fields) -> Output:
+    """The exit code and the report's text, or under --json its sorted-key
+    JSON object; fields add to or override the object's top-level keys."""
     if not args.json:
-        return CommandResult(report.exit_code, report.text)
+        return report.exit_code, report.text
     import json
 
     doc = {
@@ -70,10 +85,10 @@ def _render(args: argparse.Namespace, report: Report, **fields) -> CommandResult
     }
     if report.witness is not None:
         doc["witness"] = report.witness
-    return CommandResult(report.exit_code, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return report.exit_code, json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _error(args: argparse.Namespace, exit_code: int, label: str, message: str) -> CommandResult:
+def _error(args: argparse.Namespace, exit_code: int, label: str, message: str) -> Output:
     report = Report(exit_code, "error", f"{label}: {message}\n")
     return _render(args, report, inputs={}, message=message)
 
@@ -131,7 +146,7 @@ def _cmd_realize(args) -> Report:
     from .textio import parse_cotree
 
     g = realize(parse_cotree(_read(args.cotree)))
-    return _graph_report("realized", g, _graph_stats(g))
+    return _graph_report(args, "realized", g, _graph_stats(g))
 
 
 def _cmd_validate(args) -> Report:
@@ -170,6 +185,8 @@ def _cmd_embed(args) -> Report:
     emb = label_meet_embed(decompose(g), decompose(h))
     if emb is None:
         return Report(1, "does not embed", "does not embed\n")
+    if not args.json:  # the text prints no witness
+        return Report(0, "embeds", "embeds\n")
     witness = [{"from": _path_str(sp), "to": _path_str(tp)} for sp, tp in emb.pairs]
     return Report(0, "embeds", "embeds\n", witness)
 
@@ -219,11 +236,13 @@ def _cmd_tree_lift(args) -> Report:
     return _tree_report("ok", tree_lift(parse_plain_tree(_read(args.tree)), args.k))
 
 
-def _graph_report(verdict: str, g, stats: dict) -> Report:
-    from .textio import format_graph
+def _graph_report(args, verdict: str, g, stats: dict) -> Report:
+    """The graph's text as the witness under --json, else as pieces."""
+    from .textio import _graph_pieces, format_graph
 
-    text = format_graph(g)
-    return Report(0, verdict, text, text, stats)
+    if args.json:
+        return Report(0, verdict, "", format_graph(g), stats)
+    return Report(0, verdict, _graph_pieces(g), stats=stats)
 
 
 def _cmd_antichain(args) -> Report:
@@ -232,7 +251,7 @@ def _cmd_antichain(args) -> Report:
     forbidden = _load_graph(args.forbidden)
     g = antichain_graph(forbidden, args.indices)
     complemented, m = antichain_params(forbidden)
-    return _graph_report("ok", g, dict(_graph_stats(g), complemented=complemented, m=m))
+    return _graph_report(args, "ok", g, dict(_graph_stats(g), complemented=complemented, m=m))
 
 
 def _cmd_types(args) -> Report:
@@ -264,7 +283,7 @@ def _cmd_encode(args) -> Report:
         non_edge_cycle=params.non_edge_cycle,
         path_len=params.path_len,
     )
-    return _graph_report("encoded", out, stats)
+    return _graph_report(args, "encoded", out, stats)
 
 
 def _cmd_decode(args) -> Report:
@@ -275,7 +294,7 @@ def _cmd_decode(args) -> Report:
     e = _load_graph(args.encoded)
     params = gadget_params(forbidden)
     g = decode_psi(complement(e) if params.complemented else e, params)
-    return _graph_report("decoded", g, _graph_stats(g))
+    return _graph_report(args, "decoded", g, _graph_stats(g))
 
 
 def _cmd_roundtrip(args) -> Report:
@@ -402,28 +421,72 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(argv: list[str]) -> CommandResult:
+def _run(argv: list[str]) -> Output:
     # A request builds only its own subcommand; --help, no arguments and an
     # unknown command get the full parser, which lists every command.
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(code, "")
+        return exc.code if isinstance(exc.code, int) else 2, ""
     try:
         return _render(args, args.func(args))
     except (GfreeError, OSError) as exc:
         return _error(args, 2, "error", str(exc))
     except Exception as exc:
         # A crash must never read as a verdict: exit 1 means "no".
-        return _error(args, 3, "internal error", f"{type(exc).__name__}: {exc}")
+        return _error(args, 3, "internal error", _crash(exc))
+
+
+def _crash(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_command(argv: list[str]) -> CommandResult:
+    code, out = _run(argv)
+    try:
+        return CommandResult(code, out if isinstance(out, str) else "".join(out))
+    except Exception as exc:  # a crash while the pieces are made
+        return CommandResult(3, f"internal error: {_crash(exc)}\n")
+
+
+def _write(text: str | Iterable[str]) -> None:
+    """Write text, a string or its pieces, to stdout and flush; pieces are
+    joined into batches of about _BATCH characters."""
+    batch: list[str] = []
+    size = 0
+    for piece in (text,) if isinstance(text, str) else text:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
+    sys.stdout.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
-    result = run_command(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(result.stdout)
-    return result.exit_code
+    code, out = _run(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None:  # started with descriptor 1 closed
+        sys.stderr.write("error: cannot write stdout: it is closed\n")
+        return 2
+    try:
+        _write(out)
+    except OSError as exc:
+        # The report is lost, so its verdict was never given.  Shutdown
+        # flushes stdout again: point its descriptor at os.devnull.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(f"error: cannot write stdout: {exc}\n")
+        return 2
+    except Exception as exc:
+        # A crash while the pieces are made; some of the text may be out.
+        sys.stderr.write(f"internal error: {_crash(exc)}\n")
+        return 3
+    return code
 
 
 if __name__ == "__main__":

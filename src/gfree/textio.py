@@ -14,9 +14,11 @@ first bad name line, the first edge line that is not two tokens, a
 repeated name, then the first edge line with a self-loop or an unknown
 endpoint.  For the last two kinds the parser keeps the names and the first
 offending pair, and lets make_graph, the one validator of names and edges,
-raise.  The formatter writes the edges from each vertex to the later ones
-as one chunk, so edges come out in declared order of their first and then
-their second endpoint.
+raise.  The formatter makes the text in pieces, the edges from each vertex
+to the later ones being one piece, so edges come out in declared order of
+their first and then their second endpoint; format_graph joins the pieces,
+and the CLI writes them out as they come, so printing a graph costs memory
+for the graph, not for its text.
 
 Cotree files: one s-expression, internal node "(<label> child ...)" with
 label 0 or 1, leaf = vertex name.  The strict parser rejects structural
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from .errors import FormatError
 from .graphs import Graph, make_graph
@@ -152,20 +154,34 @@ _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def format_graph(g: Graph) -> str:
+    return "".join(_graph_pieces(g))
+
+
+def _graph_pieces(g: Graph) -> Iterator[str]:
+    """The text of g in pieces: the header, the names, then one piece per
+    vertex with an edge to a later one, holding those edge lines.
+
+    Every name is checked before this returns, so a FormatError comes
+    before the first piece.
+    """
     for v in g.vertices:
         if not _NAME_RE.match(v):
             raise FormatError(f"vertex name {v!r} is not serializable")
+    return _pieces(g)
+
+
+def _pieces(g: Graph) -> Iterator[str]:
     names = g.vertices
-    out = [f"{g.n} {g.m}"]
-    out.extend(names)
+    yield f"{g.n} {g.m}\n"
+    if names:
+        yield "\n".join(names) + "\n"
     for i, row in enumerate(g.rows):
         above = row >> i + 1
         if above:
             # selectors[k] is 1 when vertex i + 1 + k is a neighbour
             selectors = bin(above)[:1:-1].encode().translate(_BIT_SELECTORS)
             sep = "\n" + names[i] + " "
-            out.append(names[i] + " " + sep.join(compress(names[i + 1 :], selectors)))
-    return "\n".join(out) + "\n"
+            yield names[i] + " " + sep.join(compress(names[i + 1 :], selectors)) + "\n"
 
 
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
@@ -258,7 +274,14 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
                 line=lab_line,
                 col=lab_col,
             )
-        label = int(lab_tok)
+        try:
+            label = int(lab_tok)
+        except ValueError:  # more digits than int() converts
+            raise FormatError(
+                f"internal node label is too long ({len(lab_tok)} digits)",
+                line=lab_line,
+                col=lab_col,
+            ) from None
         if strict and label not in (0, 1):
             raise FormatError(
                 f"internal node label must be 0 or 1, got {label}",

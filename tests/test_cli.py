@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 
 import gfree
 from gfree import NoZ3Report, cycle_graph, format_graph, make_graph, parse_graph, path_graph
-from gfree.cli import _COMMANDS, Report, _build_parser, run_command
+from gfree.cli import _BATCH, _COMMANDS, Report, _build_parser, main, run_command
 
 P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
 K2_TEXT = "2 1\na\nb\na b\n"
@@ -87,6 +88,17 @@ def test_embed(tmp_path: Path) -> None:
     big = _write(tmp_path, "c4.graph", C4_TEXT)
     assert run_command(["embed", small, big]).exit_code == 0
     assert run_command(["embed", big, small]).exit_code == 1
+
+
+def test_embed_text_output_builds_no_witness(tmp_path: Path, monkeypatch) -> None:
+    def no_witness(path):
+        raise AssertionError("the text of embed prints no witness")
+
+    monkeypatch.setattr("gfree.cotree._path_str", no_witness)
+    small = _write(tmp_path, "p3.graph", P3_TEXT)
+    big = _write(tmp_path, "c4.graph", C4_TEXT)
+    res = run_command(["embed", small, big])
+    assert (res.exit_code, res.stdout) == (0, "embeds\n")
 
 
 def test_delete_leaf(tmp_path: Path) -> None:
@@ -443,3 +455,99 @@ def test_a_request_builds_only_its_own_subcommand() -> None:
 
     assert commands(_build_parser()) == list(_COMMANDS)
     assert commands(_build_parser("aut")) == ["aut"]
+
+
+def _complete_tree(n: int) -> str:
+    return "(1 " + " ".join(f"v{i}" for i in range(n)) + ")\n"
+
+
+class _Stdout:
+    """A stdout that keeps each write."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_main_prints_a_large_graph_in_bounded_batches(tmp_path: Path, monkeypatch) -> None:
+    tree = _write(tmp_path, "k450.tree", _complete_tree(450))
+    stdout = _Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["realize", tree]) == 0
+    text = "".join(stdout.writes)
+    assert text == run_command(["realize", tree]).stdout
+    assert len(text) > 950_000
+    # the number of writes follows the size of the text, not its 101,025 lines
+    assert len(stdout.writes) <= len(text) // _BATCH + 1
+    assert max(map(len, stdout.writes)) < _BATCH + 5000
+
+
+def test_a_crash_while_printing_is_exit_3_never_1(tmp_path: Path, monkeypatch, capsys) -> None:
+    def pieces(g):
+        yield "3 2\n"
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("gfree.textio._graph_pieces", pieces)
+    tree = _write(tmp_path, "t.tree", "(1 b (0 a c))\n")
+    assert main(["realize", tree]) == 3
+    # the crash came before the first batch was full, so nothing was written
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+    res = run_command(["realize", tree])
+    assert (res.exit_code, res.stdout) == (3, "internal error: RuntimeError: boom\n")
+
+
+def _realize_to(fd: int | None, tree: str, unbuffered: str) -> subprocess.CompletedProcess:
+    """Run `gfree realize` with stdout on fd, or closed when fd is None."""
+    src = str(Path(gfree.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "gfree.cli", "realize", tree]
+    if fd is None:
+        argv = ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
+    return subprocess.run(
+        argv,
+        stdout=fd,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+        text=True,
+        timeout=60,
+    )
+
+
+# A graph text within one write, and one of several batches; stdout
+# buffered and not.
+WRITE_FAILURES = [(size, unbuffered) for size in (3, 150) for unbuffered in ("", "1")]
+
+
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("size, unbuffered", WRITE_FAILURES)
+def test_a_failed_stdout_write_is_exit_2_never_1(
+    tmp_path: Path, sink: str, size: int, unbuffered: str
+) -> None:
+    tree = _write(tmp_path, "t.tree", _complete_tree(size))
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full device")
+        fd, code = os.open(sink, os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+        code = errno.EPIPE
+    try:
+        proc = _realize_to(fd, tree, unbuffered)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2
+    # one line, no traceback and no "Exception ignored" at shutdown
+    assert proc.stderr.startswith(f"error: cannot write stdout: [Errno {code}] ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_a_closed_stdout_is_exit_2_never_1(tmp_path: Path) -> None:
+    tree = _write(tmp_path, "t.tree", _complete_tree(3))
+    proc = _realize_to(None, tree, "")
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: it is closed\n")

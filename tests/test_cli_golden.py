@@ -1,5 +1,6 @@
 """Golden corpus of CLI outputs: every subcommand, text and --json, on its
-exit-0, exit-1 and exit-2 paths, byte for byte.
+exit-0, exit-1 and exit-2 paths, byte for byte, through run_command and
+through main writing to a file descriptor.
 
 cli_golden.json holds the input files and, per case, the argv, the exit
 code and the exact stdout.  Cases run in a temporary directory with
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -38,13 +40,21 @@ PATCHES = {
 }
 
 
-def _run(case: dict, workdir: Path):
+@contextmanager
+def _case_dir(case: dict, workdir: Path):
+    """Run the body in workdir, which holds the corpus files, with the
+    case's patch applied."""
     for name, text in CORPUS["files"].items():
         (workdir / name).write_text(text, encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
         if "patch" in case:
             mp.setattr(*PATCHES[case["patch"]])
+        yield
+
+
+def _run(case: dict, workdir: Path):
+    with _case_dir(case, workdir):
         return run_command(case["argv"])
 
 
@@ -83,6 +93,44 @@ def test_golden_outputs_do_not_depend_on_hash_seed(seed: str) -> None:
     proc = subprocess.run(
         [sys.executable, "-c", _REPLAY, str(DATA.parent)],
         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [[case["exit_code"], case["stdout"]] for case in CORPUS["cases"]]
+    assert json.loads(proc.stdout) == expected
+
+
+# Replays the whole corpus through gfree.cli.main in a fresh interpreter,
+# each case with stdout (file descriptor 1) on a file, and prints the exit
+# codes and the files' text as JSON; argv[1] is this directory.
+_REPLAY_MAIN = """
+import json, os, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_cli_golden import CORPUS, _case_dir
+from gfree.cli import main
+terminal = os.dup(1)
+out = []
+for case in CORPUS["cases"]:
+    with tempfile.TemporaryDirectory() as tmp, _case_dir(case, Path(tmp)):
+        with open("stdout", "w+b") as f:
+            os.dup2(f.fileno(), 1)
+            code = main(case["argv"])
+            os.dup2(terminal, 1)
+            f.seek(0)
+            out.append([code, f.read().decode("utf-8")])
+print(json.dumps(out))
+"""
+
+
+def test_main_writes_the_golden_bytes_to_a_file_descriptor() -> None:
+    # The benchmark's setting: every write to stdout is a system call.
+    src = str(Path(gfree.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPLAY_MAIN, str(DATA.parent)],
+        env={**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,10 +1,11 @@
-"""A graph file costs a CLI request memory for the graph, not for its text.
+"""A graph costs a CLI request memory for the graph, not for its text,
+whether the request reads the graph from a file or prints it.
 
-Each request runs as `python -m gfree.cli recognize FILE`, spawned with
-os.posix_spawn from a small helper process and reaped with os.wait4, whose
-ru_maxrss is the request's peak RSS.  On Linux a child's peak RSS includes
-that of the process that spawned it, so the requests are not spawned from
-the test process itself.
+Each request runs as `python -m gfree.cli ...` with stdout on os.devnull,
+spawned with os.posix_spawn from a small helper process and reaped with
+os.wait4, whose ru_maxrss is the request's peak RSS.  On Linux a child's
+peak RSS includes that of the process that spawned it, so the requests are
+not spawned from the test process itself.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ for line in sys.stdin:
 """
 
 
-def _peak_rss_kib(paths: list[Path]) -> list[int]:
-    """The peak RSS of `recognize` on each file, with a discarded first run."""
-    requests = [[sys.executable, "-m", "gfree.cli", "recognize", str(p)] for p in paths]
+def _peak_rss_kib(requests: list[list[str]]) -> list[tuple[str, int]]:
+    """The exit code and peak RSS of each gfree request, with a discarded
+    first run."""
+    requests = [[sys.executable, "-m", "gfree.cli", *argv] for argv in requests]
     done = subprocess.run(
         [sys.executable, "-c", _SPAWNER],
         input="".join(json.dumps(argv) + "\n" for argv in [requests[0], *requests]),
@@ -52,9 +54,7 @@ def _peak_rss_kib(paths: list[Path]) -> list[int]:
         check=True,
         timeout=120,
     )
-    outcomes = [line.split() for line in done.stdout.splitlines()[1:]]
-    assert [code for code, _ in outcomes] == ["1", "0"]  # the dense graph holds a P4
-    return [int(kib) for _, kib in outcomes]
+    return [(code, int(kib)) for code, kib in map(str.split, done.stdout.splitlines()[1:])]
 
 
 def test_dense_graph_file_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> None:
@@ -65,5 +65,20 @@ def test_dense_graph_file_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> 
     dense.write_text(format_graph(make_graph(names, edges)), encoding="utf-8")
     small.write_text("3 2\na\nb\nc\na b\nb c\n", encoding="utf-8")
     assert dense.stat().st_size > 350_000
-    dense_kib, small_kib = _peak_rss_kib([dense, small])
+    (dense_code, dense_kib), (small_code, small_kib) = _peak_rss_kib(
+        [["recognize", str(dense)], ["recognize", str(small)]]
+    )
+    assert (dense_code, small_code) == ("1", "0")  # the dense graph holds a P4
     assert dense_kib - small_kib < 1.5 * 1024, (dense_kib, small_kib)
+
+
+def test_printing_a_dense_graph_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> None:
+    big, small = tmp_path / "k450.tree", tmp_path / "small.tree"
+    big.write_text("(1 " + " ".join(f"v{i}" for i in range(450)) + ")\n", encoding="utf-8")
+    small.write_text("(1 a (0 b c))\n", encoding="utf-8")
+    assert len(format_graph(gfree.realize(gfree.parse_cotree(big.read_text())))) > 950_000
+    (big_code, big_kib), (small_code, small_kib) = _peak_rss_kib(
+        [["realize", str(big)], ["realize", str(small)]]
+    )
+    assert (big_code, small_code) == ("0", "0")
+    assert big_kib - small_kib < 0.5 * 1024, (big_kib, small_kib)

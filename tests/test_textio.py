@@ -254,6 +254,13 @@ def test_parse_cotree_rejects_non_decimal_digit_label() -> None:
     assert (exc.value.line, exc.value.col) == (1, 7)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_parse_cotree_rejects_a_label_longer_than_int_converts(strict: bool) -> None:
+    with pytest.raises(FormatError) as exc:
+        parse_cotree("(1 a (" + "1" * 5000 + " b c))", strict=strict)
+    assert str(exc.value) == "internal node label is too long (5000 digits) (line 1, col 7)"
+
+
 def test_parse_cotree_unbalanced() -> None:
     with pytest.raises(FormatError):
         parse_cotree("(1 a (0 b")

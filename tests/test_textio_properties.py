@@ -1,5 +1,7 @@
 """Property tests of graph text I/O against the two-pass oracle: the same
-text or graph, or the same GfreeError; any other exception fails."""
+text or graph, or the same GfreeError; any other exception fails.  And
+fuzzing of every text parser: any text raises only a GfreeError, and any
+file given to the CLI gets a verdict or exit 2, never 3."""
 
 from __future__ import annotations
 
@@ -8,11 +10,11 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from graph_text_oracle import ShortReads, oracle_format_graph, oracle_parse_graph, outcome
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfree import Graph, format_graph, parse_graph
-from gfree.cli import _load_graph
+from gfree import GfreeError, Graph, format_graph, parse_cotree, parse_graph, parse_plain_tree
+from gfree.cli import _load_graph, run_command
 
 # names with a space cannot be written: both formatters must refuse them
 _NAMES = st.text(st.sampled_from("abcxyz019_.-é "), min_size=1, max_size=3)
@@ -95,3 +97,55 @@ def test_streamed_read_matches_text_parse(tmp_path_factory, text: str, hint: int
     assert outcome(_load_graph, str(path)) == want
     with open(path, encoding="utf-8") as f:
         assert outcome(parse_graph, ShortReads(f, hint)) == want
+
+
+# Any text, and text over the formats' own characters, which gets further
+# into the parsers; a label of more digits than int() converts.
+_ANY_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.text(st.sampled_from("()01 ab\n\t\r\xa0\u0660"), max_size=40),
+    _GRAPH_TEXTS,
+)
+_HUGE_LABEL = "(" + "1" * 5000 + " a b)"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ANY_TEXT, st.booleans())
+@example(_HUGE_LABEL, True)
+@example(_HUGE_LABEL, False)
+def test_text_parsers_raise_only_gfree_errors(text: str, strict: bool) -> None:
+    outcome(parse_cotree, text, strict)
+    outcome(parse_plain_tree, text)
+    outcome(parse_graph, text)
+
+
+def _spliced(parts: tuple[str, bytes, int]) -> bytes:
+    """Text with random bytes put in at a position: mostly well formed,
+    sometimes not UTF-8."""
+    text, junk, at = parts
+    data = text.encode("utf-8")
+    at %= len(data) + 1
+    return data[:at] + junk + data[at:]
+
+
+_ANY_BYTES = st.one_of(
+    st.binary(max_size=60),
+    st.tuples(_ANY_TEXT, st.binary(max_size=3), st.integers(0, 60)).map(_spliced),
+)
+_PARSERS = {"realize": parse_cotree, "recognize": parse_graph, "tree-lift": parse_plain_tree}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ANY_BYTES)
+@example(_HUGE_LABEL.encode())
+def test_any_file_gets_a_verdict_or_exit_2_never_3(tmp_path_factory, data: bytes) -> None:
+    path = tmp_path_factory.getbasetemp() / "fuzzed"
+    path.write_bytes(data)
+    for command, parse in _PARSERS.items():
+        try:
+            parse(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, GfreeError):
+            codes = {2}
+        else:  # a command may still refuse what parses, as recognize the empty graph
+            codes = {0, 1, 2}
+        assert run_command([command, str(path)]).exit_code in codes, command
