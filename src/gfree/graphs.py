@@ -15,9 +15,9 @@ from the rows on demand, and each graph caches one vertex -> position dict.
 
 One search engine, _placements, works on positions and serves induced
 embeddings, freeness, isomorphism, automorphism enumeration and counting
-(automorphism.py), the traces and deduplication of the types layer
-(typeslogic.py) and the label/meet embedding of decomposition trees
-(embedding.py).  A pattern vertex's candidates are an intersection of
+(automorphism.py), the types layer's traces, deduplication and existential
+evaluation (typeslogic.py) and the label/meet embedding of decomposition
+trees (embedding.py).  A pattern vertex's candidates are an intersection of
 host rows.  The search is iterative, so its depth is not bounded by the
 interpreter's recursion limit.  Pattern vertices are assigned in declared
 order and candidates tried in the host's declared order, so the witness is

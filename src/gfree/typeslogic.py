@@ -21,7 +21,7 @@ only the kept graphs with its multiset of signatures, and once two of those
 exist, only those with its refined key as well (_refined_key).  The exact
 check (_fixes_base) runs the graph layer's one search on positions, placing
 each fresh position only where the kept graph's signature table allows.
-Evaluation searches over int-mask domains of target positions, and
+Evaluation runs the same search on a product host (eval_existential), and
 type_fragment skips every extension whose parent's formula already failed,
 since the child's formula contains it.
 """
@@ -75,9 +75,13 @@ class ExistentialFormula:
     literals: tuple[tuple[Term, Term, bool], ...]
 
     def __post_init__(self):
+        if self.bound_count < 0:
+            raise ValueError(f"negative bound variable count {self.bound_count}")
+        if len(set(self.constants)) < len(self.constants):
+            raise ValueError(f"repeated constant in {self.constants}")
         for a, b, _ in self.literals:
             for t in (a, b):
-                if isinstance(t, int):
+                if type(t) is int:  # a bool is an undeclared constant
                     if not 0 <= t < self.bound_count:
                         raise ValueError(f"undeclared bound variable x{t}")
                 elif t not in self.constants:
@@ -296,13 +300,14 @@ def phi_formula(ext: ConstantedGraph, base: ConstantedGraph) -> ExistentialFormu
     """
     base_verts = base.graph.vertices
     ext_g = ext.graph
-    if ext.constants != base.constants or not set(base_verts) <= set(ext_g.vertices):
+    base_set = set(base_verts)
+    if ext.constants != base.constants or not base_set <= set(ext_g.vertices):
         raise NotAnExtensionError("extension does not contain the base")
     identity = {v: v for v in base_verts}
     if not _is_isomorphism(base.graph, induced_subgraph(ext_g, base_verts), identity):
         raise NotAnExtensionError("extension disagrees with the base on base edges")
     index = ext_g.index
-    fresh = [index[v] for v in ext_g.vertices if v not in set(base_verts)]
+    fresh = [index[v] for v in ext_g.vertices if v not in base_set]
     return _formula(ext_g.rows, base_verts, [index[v] for v in base_verts], fresh)
 
 
@@ -321,69 +326,63 @@ def _formula(
 
 
 def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
-    """Standard-semantics truth of phi in the target.
+    """Standard-semantics truth of phi in the target: bound variables range
+    over all target vertices, repetitions allowed; a positive literal needs
+    an edge, a negative one a non-edge (no vertex is adjacent to itself).
 
-    Bound variables range over all target vertices, repetitions allowed; a
-    positive literal needs an edge, a negative one needs a non-edge (no
-    vertex is adjacent to itself).  Each variable's domain is an int mask
-    over the target's vertex positions: a literal against a constant or an
-    assigned variable c ANDs in c's adjacency row, or its complement when
-    negative.  The search assigns the variable with the fewest remaining
-    candidates first, tries them in declared order, and narrows the other
-    domains after each choice, which keeps refutations cheap.
+    A satisfying assignment is a placement (graphs._placements) of the
+    complete graph on the variables into a product host, whose position
+    i*n + u is target position u as a value of variable i.  (u, i) and
+    (v, j) are adjacent when every literal on (i, j) holds for (u, v), so
+    literals of both signs leave none.  Each variable has its own copy of
+    the target, so variables may share a vertex.  Literals against a
+    constant narrow the fits.  The order is static: most positive literals
+    to the variables already ordered first, then fewest fits, then index.
+    The host's rows take (m*n)^2 bits for m variables and n target vertices.
     """
-    have = set(target.constants)
     for c in phi.constants:
-        if c not in have:
+        if c not in target.constants:
             raise UnknownConstantError(f"constant {c!r} missing from the target")
     index, rows = target.graph.index, target.graph.rows
-    full = (1 << len(rows)) - 1
+    n, m = len(rows), phi.bound_count
+    full = (1 << n) - 1
 
     def side(v: int, pos: bool) -> int:
         """Positions adjacent to v, or with pos False the rest (v included)."""
         return rows[v] if pos else full & ~rows[v]
 
-    domains = [full] * phi.bound_count
-    binary: list[list[tuple[int, bool]]] = [[] for _ in range(phi.bound_count)]
+    fits = [full] * m
+    plus, minus = [0] * m, [0] * m  # bit 0 of the copy of each +/- neighbour
     for a, b, pos in phi.literals:
         if isinstance(a, int) and isinstance(b, int):
-            binary[a].append((b, pos))
-            binary[b].append((a, pos))
+            links = plus if pos else minus
+            links[a] |= 1 << b * n
+            links[b] |= 1 << a * n
         elif isinstance(a, int):
-            domains[a] &= side(index[b], pos)
+            fits[a] &= side(index[b], pos)
         elif isinstance(b, int):
-            domains[b] &= side(index[a], pos)
+            fits[b] &= side(index[a], pos)
         elif not side(index[a], pos) >> index[b] & 1:
             return False
-
-    unassigned = set(range(phi.bound_count))
-
-    def search() -> bool:
-        if not unassigned:
-            return True
-        i = min(unassigned, key=lambda j: (domains[j].bit_count(), j))
-        unassigned.remove(i)
-        for w in _bits(domains[i]):
-            pruned: list[tuple[int, int]] = []
-            ok = True
-            for j, pos in binary[i]:
-                if j not in unassigned:
-                    continue
-                keep = domains[j] & side(w, pos)
-                if keep != domains[j]:
-                    pruned.append((j, domains[j]))
-                    domains[j] = keep
-                if not keep:
-                    ok = False
-                    break
-            if ok and search():
-                return True
-            for j, old in pruned:
-                domains[j] = old
-        unassigned.add(i)
+    if not all(fits):  # a variable without values: skip building the host
         return False
-
-    return search()
+    left = sorted(range(m), key=lambda j: fits[j].bit_count())  # ties by index
+    order, done = [], 0  # done: bit 0 of the copy of each variable in order
+    while left:
+        links_in = [(plus[j] & done).bit_count() for j in left]
+        i = left.pop(links_in.index(max(links_in)))
+        order.append(i)
+        done |= 1 << i * n
+    rep = sum(1 << j * n for j in range(m))  # bit 0 of every copy
+    whole, spread = full * rep, [row * rep for row in rows]  # each row in every copy
+    hrows = []
+    for i in range(m):
+        # the copies a positive (negative) pair of values may reach from copy i
+        on, off = whole ^ full * minus[i], whole ^ full * plus[i]
+        hrows.extend(r & on | (whole ^ r) & off for r in spread)
+    pattern = [(1 << m) - 1 ^ 1 << i for i in range(m)]
+    fits = [f << i * n for i, f in enumerate(fits)]
+    return next(_placements(pattern, hrows, fits, order), None) is not None
 
 
 # type_fragment asks for one base per target, and a caller comparing

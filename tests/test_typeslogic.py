@@ -73,6 +73,12 @@ def test_formula_validation() -> None:
         ExistentialFormula(0, ("a",), (("a", "b", True),))
     with pytest.raises(ValueError):
         ExistentialFormula(1, (), ((0, 0, True),))
+    with pytest.raises(ValueError):
+        ExistentialFormula(-1, (), ())
+    with pytest.raises(ValueError):
+        ExistentialFormula(2, (), ((True, 0, True),))
+    with pytest.raises(ValueError):
+        ExistentialFormula(0, ("a", "a"), ())
 
 
 def test_constanted_graph_validation() -> None:
@@ -267,6 +273,31 @@ def test_eval_with_constants_matches_product_oracle() -> None:
             ground += any(isinstance(a, str) and isinstance(b, str) for a, b, _ in phi.literals)
             assert eval_existential(phi, target) == _eval_product_oracle(phi, target)
     assert ground > 50
+    # The shape type_fragment builds: complete formulas over the variables
+    # and constants, here with a literal of each sign on one pair of terms.
+    rng = random.Random(29)
+    both_signs = 0
+    for _ in range(60):
+        names = [f"t{i}" for i in range(rng.randint(1, 5))]
+        target = _random_constanted(rng, names, rng.uniform(0.2, 0.8))
+        bound = rng.randint(4, 5)
+        terms = list(range(bound)) + list(target.constants)
+        literals = [(a, b, rng.random() < 0.5) for a, b in combinations(terms, 2)]
+        if rng.random() < 0.2:
+            a, b, pos = rng.choice(literals)
+            literals.append((a, b, not pos))
+            both_signs += 1
+        phi = ExistentialFormula(bound, target.constants, tuple(literals))
+        assert eval_existential(phi, target) == _eval_product_oracle(phi, target)
+    assert both_signs > 0
+
+
+def test_eval_long_formula_is_not_recursive() -> None:
+    """A positive chain of 1200 variables on K2: the search depth is the
+    variable count, past the interpreter's default recursion limit."""
+    count = 1200
+    chain = ExistentialFormula(count, (), tuple((i, i + 1, True) for i in range(count - 1)))
+    assert eval_existential(chain, ConstantedGraph(make_graph(["a", "b"], [("a", "b")]), ()))
 
 
 def _extensions_keyless(
@@ -434,6 +465,35 @@ def test_type_fragment_matches_full_evaluation() -> None:
         assert type_fragment(target, f, k) == want
         failed += len(enumerate_extensions(base, f, k)) - len(want)
     assert failed > 1000
+
+
+def test_type_fragment_calls_public_eval_once_per_evaluated_extension(monkeypatch) -> None:
+    """type_fragment evaluates through the module's eval_existential, which
+    the benchmark's tracer wraps by name: once for the base and once for
+    every extension whose parent's formula holds."""
+    from gfree import typeslogic
+
+    calls: list[tuple[ExistentialFormula, bool]] = []
+
+    def spy(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
+        calls.append((phi, eval_existential(phi, target)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(typeslogic, "eval_existential", spy)
+    target = ConstantedGraph(make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), ("a",))
+    base = ConstantedGraph(induced_subgraph(target.graph, ("a",)), ("a",))
+    frag = type_fragment(target, C3, 3)
+    extensions = enumerate_extensions(base, C3, 3)
+    evaluated = 0
+    for ext in extensions:
+        # the base's formula, "true", holds; a deeper extension's parent is
+        # the extension without its last fresh vertex
+        parent = induced_subgraph(ext.graph, ext.graph.vertices[:-1])
+        evaluated += ext.graph.n <= 2 or eval_existential(
+            phi_formula(ConstantedGraph(parent, ("a",)), base), target
+        )
+    assert len(extensions) > len(calls) == evaluated > len(frag) > 1
+    assert frag == [phi for phi, ok in calls if ok]
 
 
 def test_type_fragment_negative_k() -> None:
