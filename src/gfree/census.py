@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence, TypeVar
 
-from .cotree import CotreeNode, Inner, Leaf, PlainTree, normalize, realize
+from .cotree import CotreeNode, Inner, Leaf, PlainTree, _canon_leaf, _canonical, realize
 from .errors import TooLargeError
 from .graphs import Graph, make_graph
 
@@ -108,17 +108,6 @@ def _shapes(leaves: int, label: int) -> tuple[CotreeNode, ...]:
     )
 
 
-def _assign_names(t: CotreeNode) -> CotreeNode:
-    counter = itertools.count()
-
-    def walk(node: CotreeNode) -> CotreeNode:
-        if isinstance(node, Leaf):
-            return Leaf(f"g{next(counter)}")
-        return Inner(node.label, tuple(walk(c) for c in node.children))
-
-    return walk(t)
-
-
 def cotree_shapes(leaves: int) -> list[CotreeNode]:
     """All valid cotrees with exactly that many leaves, up to label-preserving
     isomorphism, with default leaf names g0, g1, ... and canonical child order.
@@ -133,9 +122,12 @@ def cotree_shapes(leaves: int) -> list[CotreeNode]:
         )
     if leaves == 1:
         return [Leaf("g0")]
+    named = [_canon_leaf(Leaf(f"g{i}")) for i in range(leaves)]
     out: list[CotreeNode] = []
     for label in (0, 1):
-        out.extend(normalize(_assign_names(s)) for s in _shapes(leaves, label))
+        for shape in _shapes(leaves, label):
+            names = iter(named)  # the leaves in preorder
+            out.append(_canonical(shape, lambda _: next(names))[0])
     return out
 
 

@@ -9,13 +9,13 @@ ancestor) is labeled 1.
 Children are kept in a canonical order everywhere: sorted by canonical code
 descending, ties broken by smallest leaf name.  Leaf codes sort after
 internal codes, so leaves come first, alphabetically; equal internal
-subtrees keep a deterministic order.  decompose, surgery, and lifting all
-re-normalize to this order, so printed trees are reproducible.
+subtrees keep a deterministic order.  Trees are built in canonical order;
+only surgery (deleting a leaf) re-normalizes.  So printed trees are
+reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Callable, Iterator, TypeVar, Union
 
@@ -244,8 +244,8 @@ def _canon_inner(label: int, kids: list[_Canon]) -> _Canon:
     return Inner(label, tuple(k[0] for k in kids)), code, min(k[2] for k in kids)
 
 
-def _canonical(t: CotreeNode) -> _Canon:
-    return _fold(t, _canon_leaf, lambda node, kids: _canon_inner(node.label, kids))
+def _canonical(t: CotreeNode, leaf: Callable[[Leaf], _Canon] = _canon_leaf) -> _Canon:
+    return _fold(t, leaf, lambda node, kids: _canon_inner(node.label, kids))
 
 
 def canonical_code(t: CotreeNode) -> bytes:
@@ -364,6 +364,16 @@ def _module_mask(rows: tuple[int, ...], i: int, j: int) -> int:
     return members
 
 
+def _strong_mask(mods: list[int], j: int) -> int:
+    """Least strong module of positions i and j in a cograph, from mods[w],
+    the least module of i and w: mods[j] and every w whose mods[w] lacks j."""
+    members = mods[j]
+    for w, mod in enumerate(mods):
+        if not mod >> j & 1:
+            members |= 1 << w
+    return members
+
+
 def _members(g: Graph, mask: int) -> frozenset[str]:
     return frozenset(g.vertices[i] for i in _bits(mask))
 
@@ -390,13 +400,11 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
     """
     _pair_guard(g, u, v)
     decompose(g)  # raises NotCograph on a P4
-    rows = g.rows
     i, j = g.index[u], g.index[v]
-    members = _module_mask(rows, i, j)
-    for w in range(g.n):
-        if not members >> w & 1 and not _module_mask(rows, i, w) >> j & 1:
-            members |= 1 << w
-    return ModuleSet(_members(g, members), "least-strong-module")
+    base = _module_mask(g.rows, i, j)
+    # a w inside the least module of {u,v} belongs whatever its own entry
+    mods = [base if base >> w & 1 else _module_mask(g.rows, i, w) for w in range(g.n)]
+    return ModuleSet(_members(g, _strong_mask(mods, j)), "least-strong-module")
 
 
 # The module oracle enumerates all 2^n vertex subsets, so it stops at 12
@@ -485,41 +493,31 @@ def module_from_meets(g: Graph, u: str, v: str) -> frozenset[str]:
 def interpret_tree_from_graph(g: Graph) -> CotreeNode:
     """Rebuild the decomposition tree from pair modules alone.
 
-    Nodes are the distinct least strong modules of vertex pairs plus the
-    singletons; ordering is reverse containment; an internal node takes
-    label 1 or 0 from the adjacency of any generating pair.  Output is
-    canonically ordered, so codes match decompose exactly.
+    Internal nodes are the least strong modules of vertex pairs, as masks,
+    labeled by the adjacency of their first pair; the least modules of i
+    with every position serve all pairs (i, j).  Strong modules are laminar,
+    so in ascending size a mask's children are the largest nodes built so
+    far over its positions.  Output is canonical, equal to decompose's.
     """
     if g.n == 0:
         raise EmptyGraphError("cannot interpret the empty graph")
     decompose(g)  # raises NotCograph on a P4
-    if g.n == 1:
-        return Leaf(g.vertices[0])
-    gen_pair: dict[frozenset[str], tuple[str, str]] = {}
-    for u, v in itertools.combinations(g.vertices, 2):
-        s = least_strong_module(g, u, v).members
-        gen_pair.setdefault(s, (u, v))
-    nodes: list[frozenset[str]] = [frozenset([x]) for x in g.vertices]
-    nodes.extend(gen_pair)
-    root = frozenset(g.vertices)
-    if root not in gen_pair:  # pragma: no cover - the root is always generated
+    n, rows = g.n, g.rows
+    labels: dict[int, int] = {}  # strong module mask -> label
+    for i in range(n):
+        mods = [_module_mask(rows, i, w) for w in range(n)]
+        for j in range(i + 1, n):
+            labels.setdefault(_strong_mask(mods, j), rows[i] >> j & 1)
+    if n > 1 and (1 << n) - 1 not in labels:  # pragma: no cover - the root is always generated
         raise NotCographError("pair modules do not cover the vertex set", ())
-    children: dict[frozenset[str], list[frozenset[str]]] = {s: [] for s in nodes}
-    for s in nodes:
-        if s == root:
-            continue
-        above = [t for t in nodes if s < t]
-        parent = min(above, key=len)
-        children[parent].append(s)
-
-    def build(s: frozenset[str]) -> CotreeNode:
-        if len(s) == 1:
-            return Leaf(next(iter(s)))
-        u, v = gen_pair[s]
-        label = g.rows[g.index[u]] >> g.index[v] & 1
-        return Inner(label, tuple(build(c) for c in children[s]))
-
-    return normalize(build(root))
+    top = [_canon_leaf(Leaf(name)) for name in g.vertices]  # largest node over each position
+    for mask in sorted(labels, key=int.bit_count):
+        # children are disjoint, so their least leaves tell them apart
+        kids = {top[p][2]: top[p] for p in _bits(mask)}
+        node = _canon_inner(labels[mask], list(kids.values()))
+        for p in _bits(mask):
+            top[p] = node
+    return top[0][0]
 
 
 def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
@@ -537,14 +535,14 @@ def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
         node, depth = stack.pop()
         preorder.append((node, depth))
         stack.extend((c, depth + 1) for c in reversed(node.children))
-    built: list[CotreeNode] = []  # finished subtrees, the next sibling on top
+    built: list[_Canon] = []  # finished subtrees; _canon_inner orders siblings
     for i in range(len(preorder) - 1, -1, -1):
         node, depth = preorder[i]
         first = len(built) - len(node.children)
-        kids = [Leaf(f"g{k * i + j}") for j in range(k)] + built[first:][::-1]
+        kids = [_canon_leaf(Leaf(f"g{k * i + j}")) for j in range(k)] + built[first:]
         del built[first:]
-        built.append(Inner(depth % 2, tuple(kids)))
-    return normalize(built[0])
+        built.append(_canon_inner(depth % 2, kids))
+    return built[0][0]
 
 
 def plain_tree_code(t: PlainTree) -> bytes:

@@ -184,7 +184,8 @@ def _pieces(g: Graph) -> Iterator[str]:
             yield names[i] + " " + sep.join(compress(names[i + 1 :], selectors)) + "\n"
 
 
-_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+_LEAF_RE = re.compile(r"[^\s()]+")
+_TOKEN_RE = re.compile(r"[()]|" + _LEAF_RE.pattern)
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -309,11 +310,12 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
 def format_cotree(t: CotreeNode) -> str:
     from .cotree import _fold
 
-    return _fold(
-        t,
-        lambda leaf: leaf.name,
-        lambda node, kids: "(" + str(node.label) + " " + " ".join(kids) + ")",
-    )
+    def leaf(node) -> str:
+        if not _LEAF_RE.fullmatch(node.name):  # it would not read back as one leaf
+            raise FormatError(f"leaf name {node.name!r} is not serializable")
+        return node.name
+
+    return _fold(t, leaf, lambda node, kids: "(" + str(node.label) + " " + " ".join(kids) + ")")
 
 
 def parse_plain_tree(text: str) -> PlainTree:

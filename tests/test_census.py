@@ -1,10 +1,12 @@
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 
 from gfree import (
+    Inner,
+    Leaf,
     PlainTree,
     TooLargeError,
     canonical_code,
@@ -17,6 +19,7 @@ from gfree import (
     is_isomorphic,
     leaf_names,
     make_graph,
+    normalize,
     path_graph,
     plain_tree_code,
     realize,
@@ -104,6 +107,31 @@ def test_cotree_shapes_are_valid_and_distinct() -> None:
             assert len(leaf_names(t)) == leaves
             codes.add(canonical_code(t))
         assert len(codes) == len(shapes)
+
+
+# The two-pass path cotree_shapes used to take: name the leaves of each
+# enumerated shape g0, g1, ... in preorder, then normalize the tree.
+def _renamed_then_normalized(leaves: int) -> list:
+    from gfree.census import _shapes
+
+    if leaves == 1:
+        return [Leaf("g0")]
+
+    def rename(node, counter):
+        if isinstance(node, Leaf):
+            return Leaf(f"g{next(counter)}")
+        return Inner(node.label, tuple(rename(c, counter) for c in node.children))
+
+    return [
+        normalize(rename(shape, count()))
+        for label in (0, 1)
+        for shape in _shapes(leaves, label)
+    ]
+
+
+def test_cotree_shapes_equal_the_two_pass_path() -> None:
+    for leaves in range(1, 9):
+        assert cotree_shapes(leaves) == _renamed_then_normalized(leaves)
 
 
 def test_cotree_shapes_realize_each_cograph_once() -> None:

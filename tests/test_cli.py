@@ -122,6 +122,15 @@ def test_interpret_tree(tmp_path: Path) -> None:
     assert (res.exit_code, res.stdout.strip()) == (0, "(1 b (0 a c))")
 
 
+def test_a_tree_with_an_unreadable_leaf_name_is_exit_2(tmp_path: Path) -> None:
+    # printed, the tree would be "(1 b (0 a( c)))", which reads back as a
+    # node labeled "c"
+    g = _write(tmp_path, "parens.graph", "3 2\na(\nb\nc)\na( b\nb c)\n")
+    for command in ("decompose", "interpret-tree"):
+        res = run_command([command, g])
+        assert (res.exit_code, res.stdout) == (2, "error: leaf name 'a(' is not serializable\n")
+
+
 def test_tree_lift_default_and_flag(tmp_path: Path) -> None:
     t = _write(tmp_path, "plain.tree", "(())\n")
     assert run_command(["tree-lift", t]).stdout.strip() == "(0 g0 g1 (1 g2 g3))"
@@ -353,6 +362,15 @@ def test_embed_of_deep_caterpillar_into_itself_is_the_identity(tmp_path: Path) -
     # 301 leaves and 300 inner nodes, each mapped to itself: the first placement
     assert len(witness) == 601
     assert all(pair["from"] == pair["to"] for pair in witness)
+
+
+def test_interpret_tree_of_a_caterpillar_prints_what_decompose_prints(tmp_path: Path) -> None:
+    tree = _write(tmp_path, "cat.tree", _caterpillar_text(100) + "\n")  # 101 vertices
+    graph = _write(tmp_path, "cat.graph", run_command(["realize", tree]).stdout)
+    want = run_command(["decompose", graph])
+    assert want.exit_code == 0
+    res = run_command(["interpret-tree", graph])
+    assert (res.exit_code, res.stdout) == (0, want.stdout)
 
 
 def test_tree_lift_of_deep_path_runs_without_recursion(tmp_path: Path) -> None:

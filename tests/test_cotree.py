@@ -401,6 +401,38 @@ def test_internal_nodes_are_least_strong_modules() -> None:
             stack.extend(node.children)
 
 
+# Oracle: the pair-by-pair interpretation that interpret_tree_from_graph
+# used to run, on frozensets, with a parent scan and a recursive build.
+def _oracle_interpret(g: Graph):
+    if g.n == 1:
+        return Leaf(g.vertices[0])
+    gen_pair: dict[frozenset[str], tuple[str, str]] = {}
+    for u, v in combinations(g.vertices, 2):
+        gen_pair.setdefault(least_strong_module(g, u, v).members, (u, v))
+    nodes = [frozenset([x]) for x in g.vertices] + list(gen_pair)
+    root = frozenset(g.vertices)
+    children: dict[frozenset[str], list[frozenset[str]]] = {s: [] for s in nodes}
+    for s in nodes:
+        if s != root:
+            children[min((t for t in nodes if s < t), key=len)].append(s)
+
+    def build(s: frozenset[str]):
+        if len(s) == 1:
+            return Leaf(next(iter(s)))
+        u, v = gen_pair[s]
+        label = 1 if g.has_edge(u, v) else 0
+        return Inner(label, tuple(build(c) for c in children[s]))
+
+    return normalize(build(root))
+
+
+def test_interpret_tree_matches_decompose_and_the_pairwise_oracle() -> None:
+    small = [g for n in range(1, 7) for g in cograph_classes(n)]
+    for g in small + RANDOM_COGRAPHS + _random_cographs(20, 7):
+        got = interpret_tree_from_graph(g)
+        assert got == decompose(g) == _oracle_interpret(g)
+
+
 def test_interpret_tree_examples() -> None:
     assert format_cotree(interpret_tree_from_graph(K2)) == "(1 a b)"
     assert canonical_code(interpret_tree_from_graph(cycle_graph(4))) == canonical_code(
@@ -445,6 +477,13 @@ def test_tree_lift_output_is_valid() -> None:
         for t in rooted_trees(n):
             ensure_valid(tree_lift(t, 2))
             ensure_valid(tree_lift(t, 3))
+
+
+def test_tree_lift_is_built_in_canonical_order() -> None:
+    for n in range(1, 8):
+        for t in rooted_trees(n):
+            for k in (2, 3):
+                assert normalize(tree_lift(t, k)) == tree_lift(t, k)
 
 
 def test_tree_lift_injective_on_small_trees() -> None:

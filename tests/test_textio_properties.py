@@ -1,7 +1,8 @@
 """Property tests of graph text I/O against the two-pass oracle: the same
 text or graph, or the same GfreeError; any other exception fails.  And
 fuzzing of every text parser: any text raises only a GfreeError, and any
-file given to the CLI gets a verdict or exit 2, never 3."""
+file given to the CLI gets a verdict or exit 2, never 3.  And every printed
+cotree reads back."""
 
 from __future__ import annotations
 
@@ -13,7 +14,19 @@ from graph_text_oracle import ShortReads, oracle_format_graph, oracle_parse_grap
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfree import GfreeError, Graph, format_graph, parse_cotree, parse_graph, parse_plain_tree
+from gfree import (
+    FormatError,
+    GfreeError,
+    Graph,
+    combine,
+    decompose,
+    format_cotree,
+    format_graph,
+    make_graph,
+    parse_cotree,
+    parse_graph,
+    parse_plain_tree,
+)
 from gfree.cli import _load_graph, run_command
 
 # names with a space cannot be written: both formatters must refuse them
@@ -149,3 +162,31 @@ def test_any_file_gets_a_verdict_or_exit_2_never_3(tmp_path_factory, data: bytes
         else:  # a command may still refuse what parses, as recognize the empty graph
             codes = {0, 1, 2}
         assert run_command([command, str(path)]).exit_code in codes, command
+
+
+# names a tree cannot hold: a parenthesis or a space would split the token
+_TREE_NAMES = st.text(st.sampled_from("ab01() "), min_size=1, max_size=3)
+
+
+@st.composite
+def cographs(draw) -> Graph:
+    """Random joins and unions of single vertices."""
+    names = draw(st.lists(_TREE_NAMES, unique=True, min_size=1, max_size=8))
+    parts = [make_graph([x], []) for x in names]
+    while len(parts) > 1:
+        a = parts.pop(draw(st.integers(0, len(parts) - 1)))
+        b = parts.pop(draw(st.integers(0, len(parts) - 1)))
+        parts.append(combine(a, b, draw(st.sampled_from(["disjoint", "join"]))))
+    return parts[0]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cographs())
+def test_a_printed_cotree_reads_back_or_is_a_format_error(g: Graph) -> None:
+    tree = decompose(g)
+    try:
+        text = format_cotree(tree)
+    except FormatError:
+        assert any(c in v for v in g.vertices for c in "() ")
+    else:
+        assert parse_cotree(text) == tree
