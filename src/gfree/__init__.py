@@ -21,9 +21,8 @@ _EXPORTS = {
     "cotree": (
         "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation"
         " canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph"
-        " leaf_names leaf_paths least_module least_strong_module meet_path"
-        " module_closure_oracle module_from_meets normalize plain_tree_code realize"
-        " tree_lift validate_cotree"
+        " leaf_names leaf_paths least_module least_strong_module meet_path normalize"
+        " plain_tree_code realize tree_lift validate_cotree"
     ),
     "embedding": (
         "TreeEmbedding antichain_graph antichain_params cograph_induced_via_trees"
@@ -42,10 +41,12 @@ _EXPORTS = {
         " natural_iso_lambda transport_iso_phi transport_iso_psi"
     ),
     "graphs": (
-        "Graph VertexMap combine complement connected_components cycle_graph"
+        "Graph combine complement connected_components cycle_graph"
         " find_induced_embedding induced_subgraph is_free is_isomorphic"
         " labeled_chain_sum make_graph path_graph relabel"
     ),
+    "oracles": "module_closure_oracle module_from_meets",
+    "search": "VertexMap",
     "textio": (
         "format_cotree format_graph format_plain_tree parse_cotree parse_graph"
         " parse_plain_tree"

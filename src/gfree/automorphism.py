@@ -14,7 +14,8 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import BadSizeError, NotIsomorphismError, NotOrderThreeError, TooLargeError, record
-from .graphs import Graph, VertexMap, _embeddings, _fits, _is_isomorphism, _placements
+from .graphs import Graph
+from .search import VertexMap, _embeddings, _fits, _is_isomorphism, _placements
 
 __all__ = [
     "Permutation",

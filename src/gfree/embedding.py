@@ -6,7 +6,7 @@ when the decomposition tree of G maps into the decomposition tree of H by
 an injective, order-preserving, label-preserving map under which the label
 of the meet of any two leaves is preserved.
 
-label_meet_embed finds that map with graphs._placements, the one search,
+label_meet_embed finds that map with search._placements, the one search,
 on the tree nodes in preorder.  A node's relation row holds its ancestors
 and descendants and, for a leaf, the leaves whose meet with it is labelled
 1 (its adjacency in the realized graph).  Labels are kept, so for two
@@ -17,8 +17,10 @@ subtree, whose image lies below q's image and is unrelated to p's image,
 so p's image cannot lie above q's.  The complete maps are thus the
 order-preserving ones, and the witness is the first in target preorder.
 
-The tree functions import the cotree layer when they run, so the
-cycle-antichain half (which the gadget layer uses) loads only `graphs`.
+The tree functions import the cotree layer when they run, and
+label_meet_embed also imports the search engine, so importing this module
+(the gadget layer uses its cycle-antichain half) loads only `graphs`, and
+leaf deletion never loads `search`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    _fits,
-    _placements,
     complement,
     cycle_graph,
     find_induced_embedding,
@@ -113,6 +113,7 @@ def label_meet_embed(source: CotreeNode, target: CotreeNode) -> TreeEmbedding | 
     at least its subtree's counts, computed once per distinct key.
     """
     from .cotree import ensure_valid
+    from .search import _fits, _placements
 
     ensure_valid(source)
     ensure_valid(target)

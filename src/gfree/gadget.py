@@ -18,7 +18,8 @@ from functools import cached_property
 
 from .embedding import antichain_params
 from .errors import MalformedEncodingError, NotIsomorphismError, record
-from .graphs import Graph, VertexMap, _bits, _components, _is_isomorphism, complement, make_graph
+from .graphs import Graph, _bits, _components, complement, make_graph
+from .search import VertexMap, _is_isomorphism
 
 __all__ = [
     "GadgetParams",

@@ -55,7 +55,7 @@ __all__ = [
     "format_plain_tree",
 ]
 
-_NAME_RE = re.compile(r"^\S+$")
+_NAME_RE = re.compile(r"\S+")
 _CHUNK = 8192  # characters per readlines chunk
 
 
@@ -103,7 +103,7 @@ def parse_graph(source: str | TextIO) -> Graph:
                 n = m = 0
         for k in range(max(start, 1), min(stop, 1 + n)):
             name = lines[k - start].strip()
-            if name_fault is None and not _NAME_RE.match(name):
+            if name_fault is None and not _NAME_RE.fullmatch(name):
                 name_fault = k + 1
             names.append(name)
         if index is None and stop >= 1 + n:
@@ -165,7 +165,7 @@ def _graph_pieces(g: Graph) -> Iterator[str]:
     before the first piece.
     """
     for v in g.vertices:
-        if not _NAME_RE.match(v):
+        if not _NAME_RE.fullmatch(v):
             raise FormatError(f"vertex name {v!r} is not serializable")
     return _pieces(g)
 

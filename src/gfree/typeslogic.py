@@ -42,15 +42,8 @@ from .errors import (
     UnknownVertexError,
     record,
 )
-from .graphs import (
-    Graph,
-    _bits,
-    _fits,
-    _is_isomorphism,
-    _placements,
-    induced_subgraph,
-    is_free,
-)
+from .graphs import Graph, _bits, induced_subgraph, is_free
+from .search import _fits, _is_isomorphism, _placements
 
 __all__ = [
     "Term",
@@ -330,7 +323,7 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
     over all target vertices, repetitions allowed; a positive literal needs
     an edge, a negative one a non-edge (no vertex is adjacent to itself).
 
-    A satisfying assignment is a placement (graphs._placements) of the
+    A satisfying assignment is a placement (search._placements) of the
     complete graph on the variables into a product host, whose position
     i*n + u is target position u as a value of variable i.  (u, i) and
     (v, j) are adjacent when every literal on (i, j) holds for (u, v), so

@@ -14,7 +14,7 @@ import re
 from gfree import FormatError, GfreeError, Graph, make_graph
 from gfree.graphs import _edge_positions
 
-_NAME_RE = re.compile(r"^\S+$")
+_NAME_RE = re.compile(r"\S+")
 
 
 def oracle_parse_graph(text: str) -> Graph:
@@ -40,7 +40,7 @@ def oracle_parse_graph(text: str) -> Graph:
     names: list[str] = []
     for i in range(n):
         name = lines[1 + i].strip()
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise FormatError("vertex name must be one nonempty token", line=2 + i)
         names.append(name)
     edges: list[tuple[str, str]] = []
@@ -54,7 +54,7 @@ def oracle_parse_graph(text: str) -> Graph:
 
 def oracle_format_graph(g: Graph) -> str:
     for v in g.vertices:
-        if not _NAME_RE.match(v):
+        if not _NAME_RE.fullmatch(v):
             raise FormatError(f"vertex name {v!r} is not serializable")
     names = g.vertices
     out = [f"{g.n} {g.m}"]

@@ -47,7 +47,7 @@ from gfree import (
     tree_lift,
     validate_cotree,
 )
-from gfree.cotree import _module_masks, _strong_module_masks
+from gfree.oracles import _module_masks, _strong_module_masks
 
 P3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K2 = make_graph(["a", "b"], [("a", "b")])

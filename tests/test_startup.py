@@ -9,6 +9,7 @@ report on stderr.
 from __future__ import annotations
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,13 +40,19 @@ LAYERS = {
     "gfree.automorphism",
     "gfree.census",
     "gfree.embedding",
+    "gfree.search",
+    "gfree.oracles",
 }
 
 # The exact gfree modules each subcommand loads (the CLI itself runs as
 # __main__, so gfree.cli is not among them).  Graph I/O needs only graphs;
-# a command loads cotree only when it builds, reads or prints a tree.
+# a command loads cotree only when it builds, reads or prints a tree, and
+# search only when it searches: a cograph request never does, but one whose
+# input graph holds a P4 searches for its witness.  No request loads the
+# test-only gfree.oracles.
 GRAPH_IO = {"gfree", "gfree.errors", "gfree.graphs", "gfree.textio"}
 TREES = GRAPH_IO | {"gfree.cotree"}
+SEARCH = {"gfree.search"}
 LOADS = {
     "recognize": TREES,
     "decompose": TREES,
@@ -55,16 +62,16 @@ LOADS = {
     "strong-module": TREES,
     "interpret-tree": TREES,
     "tree-lift": TREES,
-    "iso": GRAPH_IO,
-    "embed": TREES | {"gfree.embedding"},
+    "iso": GRAPH_IO | SEARCH,
+    "embed": TREES | SEARCH | {"gfree.embedding"},
     "delete-leaf": TREES | {"gfree.embedding"},
-    "antichain": GRAPH_IO | {"gfree.embedding"},
-    "encode": GRAPH_IO | {"gfree.embedding", "gfree.gadget"},
-    "decode": GRAPH_IO | {"gfree.embedding", "gfree.gadget"},
-    "roundtrip": GRAPH_IO | {"gfree.embedding", "gfree.gadget"},
-    "aut": GRAPH_IO | {"gfree.automorphism"},
-    "no-z3": TREES | {"gfree.automorphism", "gfree.census"},
-    "types": GRAPH_IO | {"gfree.typeslogic"},
+    "antichain": GRAPH_IO | SEARCH | {"gfree.embedding"},
+    "encode": GRAPH_IO | SEARCH | {"gfree.embedding", "gfree.gadget"},
+    "decode": GRAPH_IO | SEARCH | {"gfree.embedding", "gfree.gadget"},
+    "roundtrip": GRAPH_IO | SEARCH | {"gfree.embedding", "gfree.gadget"},
+    "aut": GRAPH_IO | SEARCH | {"gfree.automorphism"},
+    "no-z3": TREES | SEARCH | {"gfree.automorphism", "gfree.census"},
+    "types": GRAPH_IO | SEARCH | {"gfree.typeslogic"},
 }
 
 COTREE_SIDE = [
@@ -73,6 +80,7 @@ COTREE_SIDE = [
     ["decompose", "p3.graph"],
     ["realize", "p3.tree"],
     ["validate", "bad.tree"],
+    ["module", "p3.graph", "a", "b"],
     ["module", "p4.graph", "a", "b"],
     ["strong-module", "p3.graph", "a", "c", "--json"],
     ["interpret-tree", "p3.graph"],
@@ -113,7 +121,9 @@ def _loaded(argv: list[str], cwd: Path) -> set[str]:
 
 def _check_loads(argv: list[str], cwd: Path) -> None:
     loaded = _loaded(argv, cwd)
-    assert {m for m in loaded if m.split(".")[0] == "gfree"} == LOADS[argv[0]]
+    expected = LOADS[argv[0]] | (SEARCH if "p4.graph" in argv else set())
+    assert {m for m in loaded if m.split(".")[0] == "gfree"} == expected
+    assert "gfree.oracles" not in loaded
     assert "dataclasses" not in loaded
 
 
@@ -134,6 +144,11 @@ def test_types_loads_only_its_layer(tmp_path: Path) -> None:
 @pytest.mark.parametrize("argv", OTHER, ids=lambda a: a[0])
 def test_no_request_loads_dataclasses(argv: list[str], tmp_path: Path) -> None:
     _check_loads(argv, tmp_path)
+
+
+def test_every_module_is_a_layer_or_errors_or_cli() -> None:
+    modules = {f"gfree.{info.name}" for info in pkgutil.iter_modules(gfree.__path__)}
+    assert modules == LAYERS | {"gfree.errors", "gfree.cli"}
 
 
 def test_help_loads_no_layer(tmp_path: Path) -> None:
@@ -157,9 +172,8 @@ EXPORTS = {
     "census": "cograph_classes cotree_shapes graph_classes rooted_trees",
     "cotree": "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation "
     "canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph "
-    "leaf_names leaf_paths least_module least_strong_module meet_path "
-    "module_closure_oracle module_from_meets normalize plain_tree_code realize "
-    "tree_lift validate_cotree",
+    "leaf_names leaf_paths least_module least_strong_module meet_path normalize "
+    "plain_tree_code realize tree_lift validate_cotree",
     "embedding": "TreeEmbedding antichain_graph antichain_params cograph_induced_via_trees "
     "cycle_formula_holds delete_vertex_cotree label_meet_embed max_induced_cycle",
     "errors": "BadPartialError BadSizeError BaseNotFreeError DuplicateVertexError "
@@ -170,9 +184,11 @@ EXPORTS = {
     "UnknownEndpointError UnknownVertexError",
     "gadget": "EncodedGraph GadgetParams decode_psi encode_phi gadget_params "
     "natural_iso_lambda transport_iso_phi transport_iso_psi",
-    "graphs": "Graph VertexMap combine complement connected_components cycle_graph "
+    "graphs": "Graph combine complement connected_components cycle_graph "
     "find_induced_embedding induced_subgraph is_free is_isomorphic labeled_chain_sum "
     "make_graph path_graph relabel",
+    "oracles": "module_closure_oracle module_from_meets",
+    "search": "VertexMap",
     "textio": "format_cotree format_graph format_plain_tree parse_cotree parse_graph "
     "parse_plain_tree",
     "typeslogic": "ConstantedGraph ExistentialFormula enumerate_extensions eval_existential "

@@ -52,6 +52,14 @@ def test_format_graph_shape() -> None:
     assert format_graph(g) == "2 1\na\nb\na b\n"
 
 
+def test_format_graph_refuses_a_name_ending_in_newline() -> None:
+    # the name would print as two lines, so the text would not read back
+    g = make_graph(["a\n", "b"], [])
+    for format_text in (format_graph, oracle_format_graph):
+        with pytest.raises(FormatError):
+            format_text(g)
+
+
 def test_parse_graph_tolerates_trailing_blank() -> None:
     g = parse_graph("1 0\na\n\n")
     assert g.n == 1
