@@ -9,7 +9,8 @@ every report in an object with fields command, inputs, verdict, optional
 witness, and stats; an error becomes an object with verdict "error" and its
 text in message.
 
-Every handler returns one Report, and _render turns it into text or JSON.
+Every handler returns one Report, and _render alone turns it into text or
+JSON; a witness that only --json prints may be a function, called only then.
 A report's text is a string or, for a printed graph, a sequence of pieces:
 main writes them to stdout as they come, joined into batches of about 64
 KiB, so printing a graph costs memory for one batch, not for the whole
@@ -53,7 +54,7 @@ class CommandResult:
 class Report:
     """What a command found: the exit code, the JSON verdict, the text
     output (a string or its pieces), and the JSON witness (omitted when
-    None) and stats."""
+    None, and called first when it is a function) and stats."""
 
     exit_code: int
     verdict: str
@@ -83,8 +84,9 @@ def _render(args: argparse.Namespace, report: Report, **fields) -> Output:
         "stats": report.stats,
         **fields,
     }
-    if report.witness is not None:
-        doc["witness"] = report.witness
+    witness = report.witness() if callable(report.witness) else report.witness
+    if witness is not None:
+        doc["witness"] = witness
     return report.exit_code, json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -119,7 +121,6 @@ def _graph_stats(g) -> dict:
 
 def _cograph_command(args, print_tree: bool) -> Report:
     from .cotree import decompose
-    from .textio import format_cotree
 
     g = _load_graph(args.graph)
     try:
@@ -129,8 +130,7 @@ def _cograph_command(args, print_tree: bool) -> Report:
         return Report(1, "not a cograph", f"not a cograph; witness: {' '.join(witness)}\n", witness)
     if not print_tree:
         return Report(0, "cograph", "cograph\n", stats=_graph_stats(g))
-    text = format_cotree(tree)
-    return Report(0, "cograph", text + "\n", text, _graph_stats(g))
+    return _tree_report("cograph", tree, _graph_stats(g))
 
 
 def _cmd_recognize(args) -> Report:
@@ -146,7 +146,7 @@ def _cmd_realize(args) -> Report:
     from .textio import parse_cotree
 
     g = realize(parse_cotree(_read(args.cotree)))
-    return _graph_report(args, "realized", g, _graph_stats(g))
+    return _graph_report("realized", g, _graph_stats(g))
 
 
 def _cmd_validate(args) -> Report:
@@ -185,17 +185,16 @@ def _cmd_embed(args) -> Report:
     emb = label_meet_embed(decompose(g), decompose(h))
     if emb is None:
         return Report(1, "does not embed", "does not embed\n")
-    if not args.json:  # the text prints no witness
-        return Report(0, "embeds", "embeds\n")
-    witness = [{"from": _path_str(sp), "to": _path_str(tp)} for sp, tp in emb.pairs]
-    return Report(0, "embeds", "embeds\n", witness)
+    return Report(0, "embeds", "embeds\n", lambda: [  # the text prints no witness
+        {"from": _path_str(sp), "to": _path_str(tp)} for sp, tp in emb.pairs
+    ])
 
 
-def _tree_report(verdict: str, tree) -> Report:
+def _tree_report(verdict: str, tree, stats: dict | None = None) -> Report:
     from .textio import format_cotree
 
     text = format_cotree(tree)
-    return Report(0, verdict, text + "\n", text)
+    return Report(0, verdict, text + "\n", text, stats or {})
 
 
 def _cmd_delete_leaf(args) -> Report:
@@ -236,13 +235,11 @@ def _cmd_tree_lift(args) -> Report:
     return _tree_report("ok", tree_lift(parse_plain_tree(_read(args.tree)), args.k))
 
 
-def _graph_report(args, verdict: str, g, stats: dict) -> Report:
-    """The graph's text as the witness under --json, else as pieces."""
+def _graph_report(verdict: str, g, stats: dict) -> Report:
+    """The graph's text as pieces, and as the witness under --json."""
     from .textio import _graph_pieces, format_graph
 
-    if args.json:
-        return Report(0, verdict, "", format_graph(g), stats)
-    return Report(0, verdict, _graph_pieces(g), stats=stats)
+    return Report(0, verdict, _graph_pieces(g), lambda: format_graph(g), stats)
 
 
 def _cmd_antichain(args) -> Report:
@@ -251,7 +248,7 @@ def _cmd_antichain(args) -> Report:
     forbidden = _load_graph(args.forbidden)
     g = antichain_graph(forbidden, args.indices)
     complemented, m = antichain_params(forbidden)
-    return _graph_report(args, "ok", g, dict(_graph_stats(g), complemented=complemented, m=m))
+    return _graph_report("ok", g, dict(_graph_stats(g), complemented=complemented, m=m))
 
 
 def _cmd_types(args) -> Report:
@@ -283,7 +280,7 @@ def _cmd_encode(args) -> Report:
         non_edge_cycle=params.non_edge_cycle,
         path_len=params.path_len,
     )
-    return _graph_report(args, "encoded", out, stats)
+    return _graph_report("encoded", out, stats)
 
 
 def _cmd_decode(args) -> Report:
@@ -294,7 +291,7 @@ def _cmd_decode(args) -> Report:
     e = _load_graph(args.encoded)
     params = gadget_params(forbidden)
     g = decode_psi(complement(e) if params.complemented else e, params)
-    return _graph_report(args, "decoded", g, _graph_stats(g))
+    return _graph_report("decoded", g, _graph_stats(g))
 
 
 def _cmd_roundtrip(args) -> Report:

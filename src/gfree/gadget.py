@@ -210,7 +210,7 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
     internals = sum(1 << a for a in anchors if kind[a] != 2)
 
     pair_kind: dict[tuple[int, int], int] = {}
-    pathed = 0
+    pathed = walks = 0  # a path is walked once from each end
     for h1 in hubs:
         for x in _bits(rows[h1] & (hub_mask | internals)):  # the rest fill h1's cycle
             if hub_mask >> x & 1:
@@ -241,15 +241,16 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
             if pair_kind.setdefault(key, edge_flag) != edge_flag:
                 raise MalformedEncodingError("conflicting paths for one hub pair")
             pathed |= sum(1 << p for p in inner)
+            walks += 1
 
     expected_pairs = len(hubs) * (len(hubs) - 1) // 2
-    if len(pair_kind) != expected_pairs:
+    if len(pair_kind) != expected_pairs or walks != 2 * expected_pairs:
         raise MalformedEncodingError(
-            f"found {len(pair_kind)} hub-pair paths, expected {expected_pairs}"
+            f"found {walks // 2} hub-pair paths on {len(pair_kind)} pairs, expected {expected_pairs}"
         )
     if pathed != internals:
         raise MalformedEncodingError("internal anchors not all used by paths")
-    if covered | hub_mask | internals != (1 << e.n) - 1:
+    if covered != (1 << e.n) - 1:  # every anchor lies on its marker cycle
         raise MalformedEncodingError("vertices outside every marker cycle and path")
 
     hub_names = [names[h] for h in hubs]

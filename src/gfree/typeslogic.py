@@ -10,17 +10,19 @@ The k-bounded type fragment of a target collects the formulas of all
 forbidden-free extensions that hold in it.
 
 Enumeration, deduplication and evaluation run on the graphs' adjacency
-rows (Graph.rows).  Each candidate extension is its parent's rows plus one
-new row, and stays a rows tuple unless it is kept; a kept one is a plain
-Graph, which only enumerate_extensions wraps with the base's constants.  A
-parent is already forbidden-free, so the candidates' freeness comes from
-one pass per parent: the traces that the embeddings of F minus one vertex
-leave in it (_free_masks).  Deduplication gives each fresh position a
-signature, its neighbours among the base and its degree.  A candidate meets
-only the kept graphs with its multiset of signatures, and once two of those
-exist, only those with its refined key as well (_refined_key).  The exact
-check (_fixes_base) runs the graph layer's one search on positions, placing
-each fresh position only where the kept graph's signature table allows.
+rows (Graph.rows).  Enumeration is one breadth-first pass, which
+type_fragment caches (_extension_tree).  Each candidate extension is its
+parent's rows plus one new row, and stays a rows tuple unless it is kept;
+a kept one is a plain Graph, which only enumerate_extensions wraps with
+the base's constants.  A parent is already forbidden-free, so the
+candidates' freeness comes from one pass per parent: the traces that the
+embeddings of F minus one vertex leave in it (_free_masks).  Deduplication
+gives each fresh position a signature, its neighbours among the base and
+its degree.  A candidate meets only the kept graphs with its multiset of
+signatures, and once two of those exist, only those with its refined key
+as well (_refined_key).  The exact check (_fixes_base) runs the graph
+layer's one search on positions, placing each fresh position only where
+the kept graph's signature table allows.
 Evaluation runs the same search on a product host (eval_existential), and
 type_fragment skips every extension whose parent's formula already failed,
 since the child's formula contains it.
@@ -201,6 +203,9 @@ def _free_masks(g: Graph, pieces: list[tuple[tuple[int, ...], int]]) -> list[int
     return [m for m in range(1 << g.n) if not any(m & s in ts for s, ts in by_image)]
 
 
+# type_fragment asks for one base per target, and a caller comparing
+# several targets (criterion 7 of the acceptance suite) reuses one base.
+@lru_cache(maxsize=8)
 def _extension_tree(
     base: ConstantedGraph, forbidden: Graph, k: int
 ) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
@@ -218,46 +223,40 @@ def _extension_tree(
         )
     if not is_free(base.graph, forbidden):
         raise BaseNotFreeError("base graph contains the forbidden graph")
-    for i in range(k):
-        if base.graph.has_vertex(str(i)):
-            raise DuplicateVertexError(
-                f"base vertex {str(i)!r} collides with the fresh-name scheme"
-            )
+    for name in map(str, range(k)):
+        if base.graph.has_vertex(name):
+            raise DuplicateVertexError(f"base vertex {name!r} collides with the fresh-name scheme")
     pieces = _pieces(forbidden)
-    graphs = [base.graph]
-    parents = [-1]
-    start = 0
-    for level in range(k):
-        names = base.graph.vertices + tuple(str(i) for i in range(level + 1))
-        # Kept graphs by sorted signatures: a lone graph, or once a second
-        # one arrives, lists by refined key.  An entry is (rows, table), and
-        # the candidates of one level all have as many positions.
-        lone: dict[tuple, tuple] = {}
-        split: dict[tuple, dict[tuple, list[tuple]]] = {}
-        end = len(graphs)
-        for parent in range(start, end):
-            g = graphs[parent]
-            bit = 1 << g.n
-            for mask in _free_masks(g, pieces):
-                rows = (*(row | bit if mask >> i & 1 else row for i, row in enumerate(g.rows)), mask)
-                sigs = _signatures(rows, pinned)
-                key = tuple(sorted(sigs))
-                rep = lone.get(key)
-                if rep is not None or key in split:
-                    if rep is not None:
-                        if _fixes_base(rows, sigs, *rep, pinned):
-                            continue
-                        del lone[key]
-                        split[key] = {_refined_key(rep[0], pinned): [rep]}
-                    bucket = split[key].setdefault(_refined_key(rows, pinned), [])
-                    if any(r is not rep and _fixes_base(rows, sigs, *r, pinned) for r in bucket):
+    graphs, parents = [base.graph], [-1]
+    for parent, g in enumerate(graphs):  # breadth first: graphs grows behind
+        if g.n == pinned + k:
+            break
+        if parent == 0 or g.n > graphs[parent - 1].n:
+            # Kept graphs one size up, by sorted signatures: a lone graph, or
+            # once a second arrives, lists by refined key; entries (rows, table).
+            lone: dict[tuple, tuple] = {}
+            split: dict[tuple, dict[tuple, list[tuple]]] = {}
+        names = g.vertices + (str(g.n - pinned),)
+        bit = 1 << g.n
+        for mask in _free_masks(g, pieces):
+            rows = (*(row | bit if mask >> i & 1 else row for i, row in enumerate(g.rows)), mask)
+            sigs = _signatures(rows, pinned)
+            key = tuple(sorted(sigs))
+            rep = lone.get(key)
+            if rep is not None or key in split:
+                if rep is not None:
+                    if _fixes_base(rows, sigs, *rep, pinned):
                         continue
-                    bucket.append((rows, _signature_table(sigs, pinned)))
-                else:
-                    lone[key] = (rows, _signature_table(sigs, pinned))
-                graphs.append(Graph(names, rows))
-                parents.append(parent)
-        start = end
+                    del lone[key]
+                    split[key] = {_refined_key(rep[0], pinned): [rep]}
+                bucket = split[key].setdefault(_refined_key(rows, pinned), [])
+                if any(r is not rep and _fixes_base(rows, sigs, *r, pinned) for r in bucket):
+                    continue
+                bucket.append((rows, _signature_table(sigs, pinned)))
+            else:
+                lone[key] = (rows, _signature_table(sigs, pinned))
+            graphs.append(Graph(names, rows))
+            parents.append(parent)
     return tuple(graphs), tuple(parents)
 
 
@@ -266,21 +265,21 @@ def enumerate_extensions(
 ) -> list[ConstantedGraph]:
     """All forbidden-free extensions of base by at most k fresh vertices.
 
-    Fresh vertices are named "0" .. str(k-1); level by level, every
-    adjacency pattern to each graph kept at the previous level is tried.
-    Freeness comes from one pass per parent graph (_free_masks): the parent
-    is F-free, so only copies of F through the new vertex are looked for,
-    as traces of the embeddings of F minus one vertex.  Duplicates are
-    removed up to isomorphisms fixing the base pointwise: a candidate is
-    checked only against the kept graphs with the same signatures (and
-    refined key, once there are two), and kept when none is isomorphic to
-    it.  Order is deterministic: by level, then by discovery.
+    Fresh vertices are named "0" .. str(k-1).  One breadth-first pass over
+    the kept graphs tries every adjacency pattern of a new vertex to each
+    one with fewer than k fresh vertices.  Freeness comes from one pass per
+    parent graph (_free_masks): the parent is F-free, so only copies of F
+    through the new vertex are looked for, as traces of the embeddings of F
+    minus one vertex.  Duplicates are removed up to isomorphisms fixing the
+    base pointwise: a candidate is checked only against the kept graphs with
+    the same signatures (and refined key, once there are two), and kept when
+    none is isomorphic to it.  Order: by fresh-vertex count, then discovery.
 
     Each parent's 2^n neighbour masks are listed, so with k > 0 the largest
     parent, of n + k - 1 vertices, may have at most 20, or TooLargeError is
     raised.  With k = 0 nothing is listed and any base is accepted.
     """
-    graphs = _extension_tree(base, forbidden, k)[0]
+    graphs = _extension_tree.__wrapped__(base, forbidden, k)[0]  # uncached: freed with the list
     return [base, *(ConstantedGraph(g, base.constants) for g in graphs[1:])]
 
 
@@ -378,15 +377,6 @@ def eval_existential(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
     return next(_placements(pattern, hrows, fits, order), None) is not None
 
 
-# type_fragment asks for one base per target, and a caller comparing
-# several targets (criterion 7 of the acceptance suite) reuses one base.
-@lru_cache(maxsize=8)
-def _cached_extensions(
-    base: ConstantedGraph, forbidden: Graph, k: int
-) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
-    return _extension_tree(base, forbidden, k)
-
-
 def type_fragment(
     target: ConstantedGraph, forbidden: Graph, k: int
 ) -> list[ExistentialFormula]:
@@ -400,7 +390,7 @@ def type_fragment(
     base = ConstantedGraph(
         induced_subgraph(target.graph, target.constants), target.constants
     )
-    graphs, parents = _cached_extensions(base, forbidden, k)
+    graphs, parents = _extension_tree(base, forbidden, k)
     # every extension lists the base vertices first, then the fresh ones
     base_verts = base.graph.vertices
     pinned = list(range(len(base_verts)))

@@ -59,6 +59,9 @@ def _increasing_tree_codes(n: int) -> set[bytes]:
 def test_graph_class_counts() -> None:
     for n, want in GRAPH_COUNTS.items():
         assert len(graph_classes(n)) == want
+    assert [g.n for g in graph_classes(0)] == [0]
+    with pytest.raises(ValueError, match="need n >= 0"):
+        graph_classes(-1)
 
 
 def test_graph_classes_rejects_more_than_7_vertices(monkeypatch) -> None:
@@ -107,6 +110,8 @@ def test_cotree_shapes_are_valid_and_distinct() -> None:
             assert len(leaf_names(t)) == leaves
             codes.add(canonical_code(t))
         assert len(codes) == len(shapes)
+    with pytest.raises(ValueError, match="need leaves >= 1"):
+        cotree_shapes(0)
 
 
 # The two-pass path cotree_shapes used to take: name the leaves of each
@@ -144,6 +149,8 @@ def test_cotree_shapes_realize_each_cograph_once() -> None:
 def test_rooted_tree_counts() -> None:
     for n, want in ROOTED_TREE_COUNTS.items():
         assert len(rooted_trees(n)) == want
+    with pytest.raises(ValueError, match="need nodes >= 1"):
+        rooted_trees(0)
 
 
 def test_rooted_trees_cover_all_shapes() -> None:

@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import gfree
-from gfree import NoZ3Report, cycle_graph, format_graph, make_graph, parse_graph, path_graph
+from gfree import (
+    NoZ3Report,
+    cycle_graph,
+    encode_phi,
+    format_graph,
+    gadget_params,
+    make_graph,
+    parse_graph,
+    path_graph,
+)
 from gfree.cli import _BATCH, _COMMANDS, Report, _build_parser, main, run_command
 
 P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
@@ -163,6 +172,13 @@ def test_types(tmp_path: Path) -> None:
     assert res.stdout.splitlines() == ["true", "E x0 . !(a-x0)"]
 
 
+def test_types_rejects_a_base_vertex_named_like_a_fresh_one(tmp_path: Path) -> None:
+    base = _write(tmp_path, "zero.graph", "1 0\n0\n")
+    p3 = _write(tmp_path, "p3.graph", P3_TEXT)
+    res = run_command(["types", "--base", base, "--forbidden", p3, "-k", "1"])
+    assert (res.exit_code, res.stdout) == (2, "error: base vertex '0' collides with the fresh-name scheme\n")
+
+
 def test_types_rejects_empty_forbidden(tmp_path: Path) -> None:
     # With no vertex to remove, the forbidden graph leaves no traces, so
     # only the freeness check of the base can refuse it.
@@ -231,6 +247,21 @@ def test_decode_malformed_is_input_error(tmp_path: Path) -> None:
     c3 = _write(tmp_path, "c3.graph", C3_TEXT)
     bad = _write(tmp_path, "bad.graph", format_graph(path_graph(6)))
     assert run_command(["decode", "--forbidden", c3, "--input", bad]).exit_code == 2
+
+
+def test_decode_of_two_paths_for_one_hub_pair_is_exit_2(tmp_path: Path) -> None:
+    # the graph of test_gadget's test_decode_rejects_two_paths_for_one_hub_pair
+    from test_gadget import C3, K2, _edited, _second_path
+
+    enc = encode_phi(K2, gadget_params(C3))
+    doubled = _edited(enc.graph, add=_second_path(enc, enc.params.edge_cycle))
+    c3 = _write(tmp_path, "c3.graph", C3_TEXT)
+    bad = _write(tmp_path, "doubled.graph", format_graph(doubled))
+    message = "found 2 hub-pair paths on 1 pairs, expected 1"
+    res = run_command(["decode", "--forbidden", c3, "--input", bad])
+    assert (res.exit_code, res.stdout) == (2, f"error: {message}\n")
+    res = run_command(["decode", "--forbidden", c3, "--input", bad, "--json"])
+    assert (res.exit_code, json.loads(res.stdout)["message"]) == (2, message)
 
 
 def test_decode_error_text_does_not_depend_on_hash_seed(tmp_path: Path) -> None:

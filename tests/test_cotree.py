@@ -242,6 +242,13 @@ def test_validate_reports_single_child() -> None:
     assert any("child" in v.message for v in rep.violations)
 
 
+def test_validate_reports_a_repeated_leaf_and_a_bad_label() -> None:
+    rep = validate_cotree(parse_cotree("(1 a a)", strict=False))
+    assert [(v.path, v.message) for v in rep.violations] == [((1,), "duplicate leaf name 'a'")]
+    rep = validate_cotree(parse_cotree("(3 a b)", strict=False))
+    assert [(v.path, v.message) for v in rep.violations] == [((), "internal label must be 0 or 1, got 3")]
+
+
 def test_validate_accepts_decomposition() -> None:
     assert validate_cotree(decompose(cycle_graph(4))).ok
     ensure_valid(decompose(cycle_graph(4)))
@@ -450,6 +457,8 @@ def test_interpret_tree_matches_decompose_small() -> None:
 def test_interpret_tree_rejects_p4() -> None:
     with pytest.raises(NotCographError):
         interpret_tree_from_graph(path_graph(4))
+    with pytest.raises(EmptyGraphError):
+        interpret_tree_from_graph(make_graph([], []))
 
 
 def test_tree_lift_single_node() -> None:

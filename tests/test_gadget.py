@@ -314,3 +314,125 @@ def test_encoding_freeness_small() -> None:
         for n in range(1, 4):
             for h in graph_classes(n):
                 assert is_free(encode_phi(h, params).deliverable, forbidden)
+
+
+# Malformed encodings, each made from an encode_phi output by editing edges.
+# With C3's parameters a hub cycle has 6 vertices, an edge path's marker
+# cycles 4 and a non-edge path's 5, and a path has 3 internal vertices.  The
+# encoding of K2 is the hubs g0 (cycle g0..g5) and g6 (cycle g6..g11) and
+# the path g0 g12 g13 g14 g6, each internal on its own 4-cycle.
+
+
+def _edited(g, add=(), drop=()):
+    """g without the edges in drop and with those in add; a name in add
+    that g lacks becomes a new vertex."""
+    gone = {frozenset(e) for e in drop}
+    names = list(dict.fromkeys([*g.vertices, *(v for e in add for v in e)]))
+    return make_graph(names, [e for e in g.edges if frozenset(e) not in gone] + list(add))
+
+
+def _cycle(first, length, tag):
+    """The edges of a new length-cycle through first; the others are named
+    tag0, tag1, ..."""
+    cyc = [first, *(f"{tag}{i}" for i in range(length - 1))]
+    return list(zip(cyc, cyc[1:] + cyc[:1]))
+
+
+def _second_path(enc, marker_len):
+    """The edges of one more g0-g6 path of K2's encoding, whose internals
+    sit on new marker cycles of marker_len."""
+    internals = [f"x{i}" for i in range(enc.params.path_len)]
+    chain = ["g0", *internals, "g6"]
+    return list(zip(chain, chain[1:])) + [e for p in internals for e in _cycle(p, marker_len, p + "m")]
+
+
+def test_decode_rejects_two_paths_for_one_hub_pair() -> None:
+    params = gadget_params(C3)
+    enc = encode_phi(K2, params)
+    doubled = _edited(enc.graph, add=_second_path(enc, params.edge_cycle))
+    assert (doubled.n, doubled.degree("g0"), doubled.degree("g6")) == (36, 4, 4)
+    with pytest.raises(MalformedEncodingError, match="found 2 hub-pair paths on 1 pairs"):
+        decode_psi(doubled, params)
+    conflicting = _edited(enc.graph, add=_second_path(enc, params.non_edge_cycle))
+    with pytest.raises(MalformedEncodingError, match="conflicting paths for one hub pair"):
+        decode_psi(conflicting, params)
+
+
+def test_decode_rejects_a_missing_path() -> None:
+    params = gadget_params(C3)
+    enc = encode_phi(P3, params)
+    markers = dict(enc.marker_cycles)
+    gone = {v for p in enc.path_internals[0][2] for v in markers[p]}
+    two_paths = induced_subgraph(enc.graph, [v for v in enc.graph.vertices if v not in gone])
+    with pytest.raises(MalformedEncodingError, match="found 2 hub-pair paths on 2 pairs"):
+        decode_psi(two_paths, params)
+
+
+def test_decode_rejects_malformed_marker_cycles() -> None:
+    params = gadget_params(C3)
+    enc = encode_phi(K2, params).graph
+    cases = {
+        "'g0' lies on 2 marker cycles": _edited(enc, add=_cycle("g0", 4, "x")),
+        "chain from 'g0' ends at 'g6', not a marker cycle": _edited(enc, add=[("g0", "x"), ("x", "g6")]),
+        "length 7 at 'g0' matches no parameter": _edited(
+            enc, add=[("g1", "x"), ("x", "g2")], drop=[("g1", "g2")]
+        ),
+        "mixed marker lengths on one path": _edited(
+            enc, add=[("g15", "x"), ("x", "g16")], drop=[("g15", "g16")]
+        ),
+    }
+    for message, malformed in cases.items():
+        with pytest.raises(MalformedEncodingError, match=message):
+            decode_psi(malformed, params)
+
+
+def test_decode_rejects_anchor_free_graph_of_two_cycles() -> None:
+    params = gadget_params(C3)
+    hexagon = encode_phi(make_graph(["a"], []), params).graph
+    triangles = _edited(hexagon, add=[("g0", "g2"), ("g3", "g5")], drop=[("g2", "g3"), ("g5", "g0")])
+    with pytest.raises(MalformedEncodingError, match="anchor-free encoding is not one cycle"):
+        decode_psi(triangles, params)
+
+
+def test_decode_rejects_an_encoding_under_other_parameters() -> None:
+    # C4's parameters read C3's hub cycles (6) as non-edge markers and its
+    # non-edge markers (5) as edge markers; K3 + K1 has C3's cycle lengths
+    # but 4 internal vertices per path.
+    with pytest.raises(MalformedEncodingError, match="no hub anchors found"):
+        decode_psi(encode_phi(TWO_K1, gadget_params(C3)).graph, gadget_params(cycle_graph(4)))
+    with pytest.raises(MalformedEncodingError, match="path carries 3 internal vertices, expected 4"):
+        decode_psi(encode_phi(K2, gadget_params(C3)).graph, gadget_params(K3_PLUS_K1))
+
+
+def test_decode_rejects_malformed_paths() -> None:
+    params = gadget_params(C3)
+    enc = encode_phi(K2, params).graph
+    cases = {
+        "path through 'g12' does not continue uniquely": _edited(enc, drop=[("g12", "g13")]),
+        "path returns to its own hub": _edited(enc, add=[("g14", "g0")], drop=[("g14", "g6")]),
+    }
+    for message, malformed in cases.items():
+        with pytest.raises(MalformedEncodingError, match=message):
+            decode_psi(malformed, params)
+
+
+def test_decode_rejects_vertices_off_the_paths() -> None:
+    params = gadget_params(C3)
+    enc = encode_phi(K2, params).graph
+    # two marker cycles whose anchors are joined, on no hub path
+    stray_anchors = _edited(enc, add=[*_cycle("x", 4, "x"), *_cycle("y", 4, "y"), ("x", "y")])
+    with pytest.raises(MalformedEncodingError, match="internal anchors not all used by paths"):
+        decode_psi(stray_anchors, params)
+    triangle = _edited(enc, add=_cycle("t", 3, "t"))
+    with pytest.raises(MalformedEncodingError, match="vertices outside every marker cycle and path"):
+        decode_psi(triangle, params)
+
+
+def test_transport_psi_rejects_a_map_moving_the_lone_hub() -> None:
+    # the encoding of K1 is one hub cycle, decoded to its first vertex
+    params = gadget_params(C3)
+    hexagon = encode_phi(make_graph(["a"], []), params).graph
+    names = hexagon.vertices
+    turn = VertexMap.from_dict({v: names[(i + 1) % len(names)] for i, v in enumerate(names)})
+    with pytest.raises(NotIsomorphismError, match="hub 'g0' maps to non-hub 'g1'"):
+        transport_iso_psi(hexagon, hexagon, turn, params)

@@ -269,6 +269,8 @@ def test_relabel_and_induced_subgraph() -> None:
     assert is_isomorphic(sub, p3) is not None
     c4 = cycle_graph(4)
     assert induced_subgraph(c4, ["g3", "g1", "g0", "g2", "g1"]) is c4
+    with pytest.raises(UnknownEndpointError, match="unknown vertex: 'zz'"):
+        induced_subgraph(c4, ["g0", "zz"])
 
 
 def test_connected_components() -> None:
@@ -303,6 +305,8 @@ def test_find_induced_embedding_rejects_bad_partial() -> None:
         find_induced_embedding(p3, cycle_graph(4), VertexMap.from_dict({"zz": "g0"}))
     with pytest.raises(BadPartialError):
         find_induced_embedding(p3, cycle_graph(4), VertexMap.from_dict({"g0": "zz"}))
+    with pytest.raises(BadPartialError, match="not injective"):
+        find_induced_embedding(p3, cycle_graph(4), {"a": "x", "b": "x"})
 
 
 def test_find_induced_embedding_agrees_with_subset_oracle() -> None:
@@ -366,6 +370,7 @@ def test_vertex_map_operations() -> None:
     assert VertexMap.identity(["u", "v"]).as_dict() == {"u": "u", "v": "v"}
     assert f.domain == frozenset({"a", "b"})
     assert f.codomain == frozenset({"x", "y"})
+    assert "a" in f and "x" not in f
 
 
 def test_vertex_map_rejects_non_injective() -> None:

@@ -496,6 +496,16 @@ def test_type_fragment_calls_public_eval_once_per_evaluated_extension(monkeypatc
     assert frag == [phi for phi, ok in calls if ok]
 
 
+def test_type_fragment_enumerates_once_for_targets_sharing_a_base() -> None:
+    from gfree.typeslogic import _extension_tree
+
+    _extension_tree.cache_clear()
+    for target in (P3, cycle_graph(4)):  # the constants g0, g1 are adjacent in both
+        type_fragment(ConstantedGraph(target, ("g0", "g1")), C3, 2)
+    info = _extension_tree.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_type_fragment_negative_k() -> None:
     with pytest.raises(BadSizeError):
         enumerate_extensions(EMPTY, C3, -1)

@@ -1,0 +1,118 @@
+"""Replay the benchmark's request decks through two gfree trees and compare.
+
+Usage (from the repository root):
+  python3 tools/replay_decks.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories that hold the gfree package, such
+as the src directories of two checkouts.  The script builds the cotree and
+search decks of perfbench/workloads.py at seeds 1 and 7 and runs every
+request as `python -m gfree.cli ...` under each tree, once as text and once
+with --json.  It compares the exit code, the stdout bytes and the file that
+a --sidecar option names.  On the first mismatch it prints the request and
+what differs and exits 1; otherwise it prints how many runs agreed and
+exits 0.  It uses the standard library only and changes nothing under
+perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, Deck  # noqa: E402
+
+DECKS = ("cotree", "search")
+SEEDS = (1, 7)
+
+# Exit code, stdout and the sidecar's text (None when the run wrote none).
+Result = tuple[int, bytes, "bytes | None"]
+
+
+def _modes(argv: list[str]) -> tuple[list[str], list[str]]:
+    """The request as text and as --json."""
+    text = [a for a in argv if a != "--json"]
+    return text, [*text, "--json"]
+
+
+def _run(src: Path, argv: list[str], sidecar: Path) -> Result:
+    """One request under the gfree package in src; a --sidecar file goes to
+    the given path instead of the deck's."""
+    argv = list(argv)
+    if "--sidecar" in argv:
+        argv[argv.index("--sidecar") + 1] = str(sidecar)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfree.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=600,
+    )
+    return proc.returncode, proc.stdout, sidecar.read_bytes() if sidecar.exists() else None
+
+
+def _difference(parent: Result, change: Result) -> str | None:
+    if parent[0] != change[0]:
+        return f"exit code {parent[0]} (parent) vs {change[0]} (change)"
+    for what, a, b in (("stdout", parent[1], change[1]), ("sidecar", parent[2], change[2])):
+        if a == b:
+            continue
+        if a is None or b is None:
+            return f"{what} written by one side only"
+        lines = zip(a.splitlines(keepends=True), b.splitlines(keepends=True))
+        line = next((i for i, (x, y) in enumerate(lines, 1) if x != y), None)
+        if line is None:
+            return f"{what} of {len(a)} (parent) vs {len(b)} (change) bytes, one a prefix"
+        x, y = a.splitlines(keepends=True)[line - 1], b.splitlines(keepends=True)[line - 1]
+        col = next(i for i, (p, q) in enumerate(zip(x + b"$", y + b"%")) if p != q)
+        near = slice(max(0, col - 40), col + 40)
+        return f"{what} line {line}, byte {col + 1}: {x[near]!r} (parent) vs {y[near]!r} (change)"
+    return None
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("parent_src", type=Path, help="directory holding the parent's gfree package")
+    ap.add_argument("change_src", type=Path, help="directory holding the change's gfree package")
+    args = ap.parse_args()
+    for src in (args.parent_src, args.change_src):
+        if not (src / "gfree" / "cli.py").is_file():
+            ap.error(f"{src} holds no gfree package")
+    srcs = (args.parent_src.resolve(), args.change_src.resolve())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runs: list[tuple[str, list[str]]] = []
+        for name in DECKS:
+            for seed in SEEDS:
+                deck = Deck(Path(tmp) / f"{name}{seed}", seed)
+                deck.dir.mkdir()
+                WORKLOADS[name](deck)
+                for i, request in enumerate(deck.requests):
+                    label = f"{name} seed {seed} request {i}"
+                    runs.extend((label, argv) for argv in _modes(request.argv))
+
+        def compare(numbered: tuple[int, tuple[str, list[str]]]) -> str | None:
+            n, (label, argv) = numbered
+            sidecars = (Path(tmp) / f"sidecar{n}.{i}" for i in range(2))
+            parent, change = map(_run, srcs, (argv, argv), sidecars)
+            found = _difference(parent, change)
+            return None if found is None else f"{label}: gfree {' '.join(argv)}\n  {found}"
+
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            for mismatch in pool.map(compare, enumerate(runs)):
+                if mismatch is not None:
+                    print(f"mismatch in {mismatch}")
+                    pool.shutdown(cancel_futures=True)
+                    return 1
+    print(f"{len(runs)} requests agree: decks {DECKS}, seeds {SEEDS}, text and --json")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
