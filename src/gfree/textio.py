@@ -3,9 +3,11 @@
 Graph files: first line "n m", then n vertex-name lines, then m lines
 "u v".  UTF-8 with LF endings; names are whitespace-free tokens, and any
 other whitespace (tab, CR, NBSP, ...) separates or surrounds tokens.  A
-repeated edge line counts once.  The parser reads an open file a chunk of
-lines at a time (a string is one chunk) and ORs each edge line into the
-adjacency rows; it keeps the names, the rows and the first fault of each
+repeated edge line counts once.  The parser makes one forward pass over
+the lines, a string's split at "\n" or an open file's read a chunk at a
+time, in four sections: the header, n names, m edges, then the tail, where
+a nonblank line is a line-count fault.  It ORs each edge line into the
+adjacency rows and keeps the names, the rows and the first fault of each
 kind, never the lines, so a read costs memory for the graph, not for the
 file.  Every fault is raised at the end of the file, so an invalid UTF-8
 byte anywhere in it comes first; then the faults come in a fixed order:
@@ -37,7 +39,7 @@ cotree layer when they run, so graph I/O loads just `graphs`.
 from __future__ import annotations
 
 import re
-from itertools import compress
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from .errors import FormatError
@@ -62,75 +64,68 @@ _CHUNK = 8192  # characters per readlines chunk
 def parse_graph(source: str | TextIO) -> Graph:
     """Parse a graph file's text, or read an open text file in chunks.
 
-    A file is read with readlines(_CHUNK), about 8 KiB of lines at a time,
-    and a string is one chunk, its text split at "\n".  Only the names, the
-    adjacency rows and the first fault of each kind are kept, never the
-    lines.  The faults are raised after the last chunk, in the order of the
-    module docstring, so an error of the file itself (UnicodeDecodeError
-    from a UTF-8 text file) comes before any of them.
+    A string's lines are its text split at "\n", a file's come from
+    readlines(_CHUNK), about 8 KiB at a time; the same loops read the
+    header, n names, m edges and the tail, which only moves the line count.
+    The faults are raised after the last line, in the order of the module
+    docstring, so an error of the file itself (UnicodeDecodeError from a
+    UTF-8 text file) comes before any of them.
     """
     if isinstance(source, str):
-        chunks = iter((source.split("\n"),))
+        lines = iter(source.split("\n"))
     else:
-        chunks = iter(lambda: source.readlines(_CHUNK), [])
-    n = m = 0  # until a valid header; then lines 1..n are names, the next m edges
+        lines = chain.from_iterable(iter(lambda: source.readlines(_CHUNK), []))
+    n = m = 0  # until a valid header; then lines 2..n+1 are names, the next m edges
     head_fault = name_fault = shape_fault = None
-    count = 0  # the lines up to the last nonblank one
+    head = next(lines, "").split()
+    count = 1 if head else 0  # the lines up to the last nonblank one
+    if len(head) != 2:
+        head_fault = 'first line must be "n m"'
+    else:
+        try:
+            n, m = int(head[0]), int(head[1])
+        except ValueError:
+            head_fault = 'first line must be "n m" with integers'
+        else:
+            if n < 0 or m < 0:
+                head_fault = "vertex and edge counts must be nonnegative"
+    if head_fault:
+        n = m = 0
     names: list[str] = []
-    index: dict[str, int] | None = None  # built once every name is read
-    anomaly = False  # a repeated name, an unknown endpoint or a self-loop
+    for k, line in enumerate(islice(lines, n), 2):
+        name = line.strip()
+        if name:
+            count = k
+        if name_fault is None and not _NAME_RE.fullmatch(name):
+            name_fault = k
+        names.append(name)
+    index = dict(zip(names, range(n)))
+    bit = [1 << i for i in range(len(names))]
+    rows = [0] * len(names)
     pair = None  # the first edge line with an unknown endpoint or a self-loop
-    start = 0  # the position of the chunk's first line in the file
-    for lines in chunks:
-        stop = start + len(lines)
-        for k in range(len(lines) - 1, -1, -1):
-            if lines[k].strip():
-                count = start + k + 1
-                break
-        if start == 0:
-            head = lines[0].split()
-            if len(head) != 2:
-                head_fault = 'first line must be "n m"'
-            else:
-                try:
-                    n, m = int(head[0]), int(head[1])
-                except ValueError:
-                    head_fault = 'first line must be "n m" with integers'
-                else:
-                    if n < 0 or m < 0:
-                        head_fault = "vertex and edge counts must be nonnegative"
-            if head_fault:
-                n = m = 0
-        for k in range(max(start, 1), min(stop, 1 + n)):
-            name = lines[k - start].strip()
-            if name_fault is None and not _NAME_RE.fullmatch(name):
-                name_fault = k + 1
-            names.append(name)
-        if index is None and stop >= 1 + n:
-            index = dict(zip(names, range(n)))
-            bit = [1 << i for i in range(n)]
-            rows = [0] * n
-            anomaly = len(index) != n
-        first, last = max(start, 1 + n), min(stop, 1 + n + m)
-        for k, line in enumerate(lines[first - start : max(first, last) - start], first + 1):
-            try:
-                u, v = line.split()
-            except ValueError:
-                if shape_fault is None:
-                    shape_fault = k
-                continue
-            if anomaly:
-                continue
-            try:
-                i, j = index[u], index[v]
-            except KeyError:
-                i = j = None
-            if i == j:  # an unknown endpoint or a self-loop
-                anomaly, pair = True, (u, v)
-                continue
-            rows[i] |= bit[j]
-            rows[j] |= bit[i]
-        start = stop
+    for k, line in enumerate(islice(lines, m), n + 2):
+        try:
+            u, v = line.split()
+        except ValueError:
+            if line.strip():
+                count = k
+            if shape_fault is None:
+                shape_fault = k
+            continue
+        count = k
+        try:
+            i, j = index[u], index[v]
+        except KeyError:
+            i = j = None
+        if i == j:  # an unknown endpoint or a self-loop
+            if pair is None:
+                pair = u, v
+            continue
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    for k, line in enumerate(lines, n + m + 2):
+        if line.strip():
+            count = k
     if not count:
         raise FormatError("empty graph file", line=1)
     if head_fault:
@@ -143,7 +138,7 @@ def parse_graph(source: str | TextIO) -> Graph:
         raise FormatError("vertex name must be one nonempty token", line=name_fault)
     if shape_fault:
         raise FormatError('edge line must be "u v"', line=shape_fault)
-    if anomaly:
+    if pair or len(index) != len(names):
         # make_graph, the one validator, names the repeated name or the pair
         return make_graph(names, [pair] if pair else [])
     return Graph(tuple(names), tuple(rows))
@@ -262,9 +257,10 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     def leaf(tok: str, line: int, col: int) -> Leaf:
         if tok == ")":
             raise FormatError("unexpected ')'", line=line, col=col)
-        if strict and tok in seen:
-            raise FormatError(f"duplicate leaf name {tok!r}", line=line, col=col)
-        seen.add(tok)
+        if strict:
+            if tok in seen:
+                raise FormatError(f"duplicate leaf name {tok!r}", line=line, col=col)
+            seen.add(tok)
         return Leaf(tok)
 
     def opened(take, parent_label) -> int:

@@ -126,6 +126,12 @@ PRECEDENCE = [
     "2 1\na\nb\na b\n\n\n\n",
     "2 1\na\n\nb\na b\n",
     "3 1\na\nb\nb\n\n",
+    # a file that ends inside the names or the edges, a nonblank line after
+    # a blank tail, and a header alone
+    "3 0\na\nb\n",
+    "2 2\na\nb\na b\n",
+    "1 0\na\n\nx\n",
+    "2 0\n",
     "",
     " \n\n",
 ]

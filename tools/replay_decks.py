@@ -4,10 +4,11 @@ Usage (from the repository root):
   python3 tools/replay_decks.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the gfree package, such
-as the src directories of two checkouts.  The script builds the cotree and
-search decks of perfbench/workloads.py at seeds 1 and 7 and runs every
-request as `python -m gfree.cli ...` under each tree, once as text and once
-with --json.  It compares the exit code, the stdout bytes and the file that
+as the src directories of two checkouts.  The script builds the cotree,
+search and deep decks of perfbench/workloads.py at seeds 1 and 7 (the deep
+deck holds 1200-vertex graph files and depth-600 and depth-700 cotrees) and
+runs every request as `python -m gfree.cli ...` under each tree, once as
+text and once with --json.  It compares the exit code, the stdout bytes and the file that
 a --sidecar option names.  On the first mismatch it prints the request and
 what differs and exits 1; otherwise it prints how many runs agreed and
 exits 0.  It uses the standard library only and changes nothing under
@@ -29,7 +30,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS, Deck  # noqa: E402
 
-DECKS = ("cotree", "search")
+DECKS = ("cotree", "search", "deep")
 SEEDS = (1, 7)
 
 # Exit code, stdout and the sidecar's text (None when the run wrote none).
