@@ -20,24 +20,29 @@ cannot be written (a full disk, a closed pipe), main exits 2 with one
 error line on stderr, never with the report's verdict.
 
 Start-up is kept lean, because a request's cost is mostly start-up: at
-module level this file imports only argparse, sys, pathlib, typing and
+module level this file imports only sys, pathlib, types, typing and
 errors, and each handler imports the layer functions it calls when it
 runs, so a request loads only the modules whose code it runs (`json` only
 under --json).  Handlers look the functions up in their defining modules at call
 time, so a rebinding of a module attribute (a test's monkeypatch, a
-tracer's wrapper) takes effect.  run_command builds the parser of the
-requested subcommand only; --help, no arguments and an unknown command get
-the full parser, and both print the same help and usage text.
+tracer's wrapper) takes effect.  _parse reads a plain request's arguments
+straight from _COMMANDS: the command name, then --json, exact flags each
+with its value and one run of positionals.  Anything else (help, a usage
+error, an abbreviated flag, --flag=value, -k3, --) goes to argparse, which
+is imported only then and prints its usual help and usage text.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
-from typing import Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import Factory, FormatError, GfreeError, NotCographError, record
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["CommandResult", "run_command", "main"]
 
@@ -70,7 +75,7 @@ Output = tuple[int, "str | Iterable[str]"]
 _NOT_INPUTS = {"command", "func", "json", "sidecar"}
 
 
-def _render(args: argparse.Namespace, report: Report, **fields) -> Output:
+def _render(args, report: Report, **fields) -> Output:
     """The exit code and the report's text, or under --json its sorted-key
     JSON object; fields add to or override the object's top-level keys."""
     if not args.json:
@@ -90,7 +95,7 @@ def _render(args: argparse.Namespace, report: Report, **fields) -> Output:
     return report.exit_code, json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _error(args: argparse.Namespace, exit_code: int, label: str, message: str) -> Output:
+def _error(args, exit_code: int, label: str, message: str) -> Output:
     report = Report(exit_code, "error", f"{label}: {message}\n")
     return _render(args, report, inputs={}, message=message)
 
@@ -392,40 +397,108 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The gfree parser with every subcommand, or with only the one named.
+def _handler(name: str):
+    return globals()["_cmd_" + name.replace("-", "_")]
 
-    A one-command parser prints the same usage line as the full one: its
-    metavar lists every command, as argparse's default does.  The full
-    parser keeps the default, which names the argument "command" in the
-    errors that only it can raise (no command, an unknown one).
+
+def _split(arg) -> tuple[str, dict]:
+    """An argument of _COMMANDS as its name or flag and its keywords."""
+    return (arg, {}) if isinstance(arg, str) else arg
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse would give a plain request, or None.
+
+    A plain request is an exact command name, then tokens that are each
+    --json, an exact flag of the command followed by a value, or a
+    positional; no value or positional starts with "-", no flag is given
+    twice, every required flag is given, the positionals are one run of the
+    right length, and every type conversion succeeds.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name = argv[0]
+    args = SimpleNamespace(command=name, func=_handler(name), json=False)
+    flags: dict[str, dict] = {"--json": {}}
+    positionals = []
+    for arg in _COMMANDS[name][1]:
+        flag, keywords = _split(arg)
+        if flag.startswith("-"):
+            flags[flag] = keywords
+            setattr(args, _dest(flag, keywords), keywords.get("default"))
+        else:
+            positionals.append((flag, keywords))
+    words = []  # (dest, keywords, a word or a list of words), converted last
+    given: set[str] = set()
+    at = []  # the positions of the positionals
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if not token.startswith("-"):
+            at.append(i)
+        elif token not in flags or token in given:
+            return None
+        elif token == "--json":
+            args.json = True
+        elif i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        else:
+            i += 1
+            words.append((_dest(token, flags[token]), flags[token], argv[i]))
+        given.add(token)
+        i += 1
+    if any(k.get("required") and flag not in given for flag, k in flags.items()):
+        return None
+    # One run, of one word per positional, plus any extra for the one "+".
+    extra = len(at) - len(positionals)
+    plus = any(k.get("nargs") == "+" for _, k in positionals)
+    if (at and at[-1] - at[0] >= len(at)) or extra < 0 or (extra and not plus):
+        return None
+    run = [argv[j] for j in at]
+    for dest, keywords in positionals:
+        many = keywords.get("nargs") == "+"
+        words.append((dest, keywords, run[: 1 + extra] if many else run[0]))
+        del run[: 1 + extra if many else 1]
+    try:
+        for dest, keywords, word in words:
+            convert = keywords.get("type", str)
+            setattr(args, dest, [*map(convert, word)] if isinstance(word, list) else convert(word))
+    except (TypeError, ValueError):  # argparse refuses such a value
+        return None
+    return args
+
+
+def _dest(flag: str, keywords: dict) -> str:
+    return keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The gfree parser with every subcommand; _run uses it only for
+    requests that _parse leaves (help, usage errors, other spellings)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gfree",
         description="Cographs, decomposition trees, and forbidden-subgraph tools.",
     )
-    every = {} if only is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **every)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _COMMANDS.items():
-        if only is not None and name != only:
-            continue
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
+        p.set_defaults(func=_handler(name))
         p.add_argument("--json", action="store_true", help="structured output")
         for arg in arguments:
-            flag, keywords = (arg, {}) if isinstance(arg, str) else arg
+            flag, keywords = _split(arg)
             p.add_argument(flag, **keywords)
     return parser
 
 
 def _run(argv: list[str]) -> Output:
-    # A request builds only its own subcommand; --help, no arguments and an
-    # unknown command get the full parser, which lists every command.
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2, ""
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2, ""
     try:
         return _render(args, args.func(args))
     except (GfreeError, OSError) as exc:

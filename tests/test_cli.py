@@ -21,7 +21,18 @@ from gfree import (
     parse_graph,
     path_graph,
 )
-from gfree.cli import _BATCH, _COMMANDS, Report, _build_parser, main, run_command
+from gfree.cli import (
+    _BATCH,
+    _COMMANDS,
+    Report,
+    _build_parser,
+    _parse,
+    _split,
+    main,
+    run_command,
+)
+from test_cli_golden import CORPUS
+from test_cli_golden import _run as _run_golden
 
 P4_TEXT = "4 3\na\nb\nc\nd\na b\nb c\nc d\n"
 K2_TEXT = "2 1\na\nb\na b\n"
@@ -498,12 +509,106 @@ def test_one_command_parser_prints_what_the_full_parser_prints(argv: list[str], 
     assert got == (exc.value.code, "", *capsys.readouterr())
 
 
-def test_a_request_builds_only_its_own_subcommand() -> None:
-    def commands(parser):
-        return list(parser._subparsers._group_actions[0].choices)
+def test_a_plain_request_builds_no_parser(tmp_path: Path, monkeypatch) -> None:
+    # Every golden request that prints a report is plain; the others end in
+    # argparse's help or usage errors, which print nothing on stdout.
+    def refuse():
+        raise AssertionError("a plain request built a parser")
 
-    assert commands(_build_parser()) == list(_COMMANDS)
-    assert commands(_build_parser("aut")) == ["aut"]
+    monkeypatch.setattr("gfree.cli._build_parser", refuse)
+    for case in CORPUS["cases"]:
+        assert (_parse(case["argv"]) is None) == (case["stdout"] == ""), case["argv"]
+        if case["stdout"]:
+            res = _run_golden(case, tmp_path)
+            assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"])
+
+
+# Tokens for argument vectors near the plain form: values, and spellings
+# that only argparse reads (abbreviations, --flag=value, -k3, --, -h).
+_WORDS = ["a", "p3.graph", "0", "3", "12", "", " 7", "x=1", "1.5", "é", "-x"]
+_NUMBERS = ["0", "1", "3", "12", " 7", "1_0", "x", "-1"]
+_NOISE = ["-1", "-x", "--", "-h", "--help", "-k3", "--bogus", "--json", "--json=1", "nope", "rec"]
+
+
+def _argvs(name: str):
+    from hypothesis import strategies as st
+
+    @st.composite
+    def argvs(draw) -> list[str]:
+        parts = [] if draw(st.booleans()) else [["--json"]]
+        run = []
+        for flag, keywords in map(_split, _COMMANDS[name][1]):
+            value = draw(st.sampled_from(_NUMBERS if "type" in keywords else _WORDS))
+            if not flag.startswith("-"):
+                extra = draw(st.integers(0, 2)) if keywords.get("nargs") == "+" else 0
+                run += [value] * (1 + extra)
+            elif keywords.get("required") or draw(st.booleans()):
+                spell = draw(st.sampled_from([flag] * 4 + [flag[:4], flag + "=" + value]))
+                parts.append([spell] if "=" in spell else [spell, value])
+        parts += [run[:1], run[1:]]  # a long run may come in two parts
+        argv = [name] + [t for part in draw(st.permutations(parts)) for t in part]
+        for _ in range(draw(st.integers(0, 2))):  # insert, replace or drop a token
+            i = draw(st.integers(0, len(argv)))
+            token = draw(st.lists(st.sampled_from(_WORDS + _NOISE + [name]), max_size=1))
+            argv[i : i + draw(st.integers(0, 1))] = token
+        return argv
+
+    return argvs()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree-lift", "t", "--js"],
+        ["tree-lift", "t", "-k3"],
+        ["tree-lift", "t", "-k=3"],
+        ["tree-lift", "t", "-k", "1", "-k", "2"],
+        ["tree-lift", "t", "--json", "--json"],
+        ["tree-lift", "--", "t"],
+        ["tree-lift", "t", "-h"],
+        ["tree-lift", "-t"],
+        ["tree-lift", "t", "-k", "-1"],
+        ["tree-lift", "t", "-k", "x"],
+        ["no-z3", "--max-n=3"],
+        ["no-z3", "--max", "3"],
+        ["antichain", "--forbidden", "f", "-1"],
+        ["antichain", "0", "--forbidden", "f", "1"],
+        ["iso", "a", "--json", "b"],
+        ["iso", "a"],
+        ["iso", "a", "b", "c"],
+        ["types", "--base", "b"],
+        ["recognize"],
+        ["rec", "g"],
+        [],
+    ],
+    ids=lambda a: " ".join(a) or "no arguments",
+)
+def test_parse_leaves_other_spellings_to_argparse(argv: list[str]) -> None:
+    assert _parse(argv) is None
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_parse_gives_what_argparse_gives(name: str) -> None:
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    plain = []
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_argvs(name))
+    def check(argv: list[str]) -> None:
+        args = _parse(argv)
+        if args is None:
+            return
+        plain.append(argv)
+        try:
+            parsed = _build_parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"argparse refuses {argv}") from None
+        assert vars(parsed) == vars(args)
+
+    check()
+    assert plain  # the plain path is really exercised
 
 
 def _complete_tree(n: int) -> str:

@@ -1,5 +1,6 @@
-"""CLI start-up loads only the modules whose code a request runs, and the
-package re-exports its names lazily.
+"""CLI start-up loads only the modules whose code a request runs (argparse
+only for help, usage errors and other spellings), and the package
+re-exports its names lazily.
 
 Each CLI case runs `python -X importtime -m gfree.cli ...` in a fresh
 process and reads the modules that request imported from the import-time
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import gfree
-from gfree.cli import _COMMANDS
+from gfree.cli import _COMMANDS, _parse
 
 SRC = Path(gfree.__file__).resolve().parent.parent
 P3_TEXT = "3 2\na\nb\nc\na b\nb c\n"
@@ -124,7 +125,7 @@ def _check_loads(argv: list[str], cwd: Path) -> None:
     expected = LOADS[argv[0]] | (SEARCH if "p4.graph" in argv else set())
     assert {m for m in loaded if m.split(".")[0] == "gfree"} == expected
     assert "gfree.oracles" not in loaded
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "argparse", "gettext"}
 
 
 def test_loads_cover_every_subcommand() -> None:
@@ -151,10 +152,17 @@ def test_every_module_is_a_layer_or_errors_or_cli() -> None:
     assert modules == LAYERS | {"gfree.errors", "gfree.cli"}
 
 
+def test_every_listed_request_is_plain() -> None:
+    # So each case above checks the path that needs no argparse.
+    for argv in COTREE_SIDE + OTHER + [TYPES]:
+        assert _parse(argv) is not None, argv
+
+
 def test_help_loads_no_layer(tmp_path: Path) -> None:
     loaded = _loaded(["--help"], tmp_path)
     assert not loaded & LAYERS
     assert not loaded & {"dataclasses", "json"}
+    assert "argparse" in loaded
 
 
 def test_bare_package_import_loads_no_submodule() -> None:

@@ -7,12 +7,14 @@ PARENT_SRC and CHANGE_SRC are directories that hold the gfree package, such
 as the src directories of two checkouts.  The script builds the cotree,
 search and deep decks of perfbench/workloads.py at seeds 1 and 7 (the deep
 deck holds 1200-vertex graph files and depth-600 and depth-700 cotrees) and
-runs every request as `python -m gfree.cli ...` under each tree, once as
-text and once with --json.  It compares the exit code, the stdout bytes and the file that
-a --sidecar option names.  On the first mismatch it prints the request and
-what differs and exits 1; otherwise it prints how many runs agreed and
-exits 0.  It uses the standard library only and changes nothing under
-perfbench/.
+runs every request as `python -m gfree.cli ...` under each tree in three
+spellings: as text, with --json, and as text with each option and its value
+in one token (`--flag=value`, `-kVALUE`), a form that only the argparse
+fallback of the CLI reads.  It compares the exit code, the stdout and
+stderr bytes and the file that a --sidecar option names.  On the first
+mismatch it prints the request and what differs and exits 1; otherwise it
+prints how many runs agreed and exits 0.  It uses the standard library only
+and changes nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -33,20 +35,31 @@ from workloads import WORKLOADS, Deck  # noqa: E402
 DECKS = ("cotree", "search", "deep")
 SEEDS = (1, 7)
 
-# Exit code, stdout and the sidecar's text (None when the run wrote none).
-Result = tuple[int, bytes, "bytes | None"]
+# Exit code, stdout, stderr and the sidecar's text (None when the run
+# wrote none).
+Result = tuple[int, bytes, bytes, "bytes | None"]
 
 
-def _modes(argv: list[str]) -> tuple[list[str], list[str]]:
-    """The request as text and as --json."""
+def _joined(argv: list[str]) -> list[str]:
+    """The request with each option and its value as one token."""
+    out, tokens = [], iter(argv)
+    for a in tokens:
+        if a.startswith("-") and a != "--json":
+            a += ("=" if a.startswith("--") else "") + next(tokens)
+        out.append(a)
+    return out
+
+
+def _modes(argv: list[str]) -> tuple[list[str], ...]:
+    """The request as text, as --json, and as text with joined options."""
     text = [a for a in argv if a != "--json"]
-    return text, [*text, "--json"]
+    return text, [*text, "--json"], _joined(text)
 
 
 def _run(src: Path, argv: list[str], sidecar: Path) -> Result:
     """One request under the gfree package in src; a --sidecar file goes to
     the given path instead of the deck's."""
-    argv = list(argv)
+    argv = [f"--sidecar={sidecar}" if a.startswith("--sidecar=") else a for a in argv]
     if "--sidecar" in argv:
         argv[argv.index("--sidecar") + 1] = str(sidecar)
     proc = subprocess.run(
@@ -55,13 +68,14 @@ def _run(src: Path, argv: list[str], sidecar: Path) -> Result:
         capture_output=True,
         timeout=600,
     )
-    return proc.returncode, proc.stdout, sidecar.read_bytes() if sidecar.exists() else None
+    side = sidecar.read_bytes() if sidecar.exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, side
 
 
 def _difference(parent: Result, change: Result) -> str | None:
     if parent[0] != change[0]:
         return f"exit code {parent[0]} (parent) vs {change[0]} (change)"
-    for what, a, b in (("stdout", parent[1], change[1]), ("sidecar", parent[2], change[2])):
+    for what, a, b in zip(("stdout", "stderr", "sidecar"), parent[1:], change[1:]):
         if a == b:
             continue
         if a is None or b is None:
@@ -111,7 +125,7 @@ def main() -> int:
                     print(f"mismatch in {mismatch}")
                     pool.shutdown(cancel_futures=True)
                     return 1
-    print(f"{len(runs)} requests agree: decks {DECKS}, seeds {SEEDS}, text and --json")
+    print(f"{len(runs)} requests agree: decks {DECKS}, seeds {SEEDS}, text, --json and joined")
     return 0
 
 
