@@ -39,7 +39,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import Factory, FormatError, GfreeError, NotCographError, record
+from .errors import FormatError, GfreeError, NotCographError, record
 
 if TYPE_CHECKING:
     import argparse
@@ -59,13 +59,14 @@ class CommandResult:
 class Report:
     """What a command found: the exit code, the JSON verdict, the text
     output (a string or its pieces), and the JSON witness (omitted when
-    None, and called first when it is a function) and stats."""
+    None, and called first when it is a function) and stats (None prints
+    as {})."""
 
     exit_code: int
     verdict: str
     text: str | Iterable[str]
     witness: object = None
-    stats: dict = Factory(dict)
+    stats: dict | None = None
 
 
 # An exit code and the text to print, as a string or its pieces.
@@ -86,7 +87,7 @@ def _render(args, report: Report, **fields) -> Output:
         "command": args.command,
         "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "verdict": report.verdict,
-        "stats": report.stats,
+        "stats": report.stats or {},
         **fields,
     }
     witness = report.witness() if callable(report.witness) else report.witness
@@ -199,7 +200,7 @@ def _tree_report(verdict: str, tree, stats: dict | None = None) -> Report:
     from .textio import format_cotree
 
     text = format_cotree(tree)
-    return Report(0, verdict, text + "\n", text, stats or {})
+    return Report(0, verdict, text + "\n", text, stats)
 
 
 def _cmd_delete_leaf(args) -> Report:

@@ -9,30 +9,19 @@ every CLI start-up its import and one generated-code `exec` per class.
 from __future__ import annotations
 
 
-class Factory:
-    """A record field default made afresh for every instance: `Factory(dict)`."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def record(cls):
     """Make cls a frozen value class over its annotated fields, in order.
 
     As with a frozen dataclass, the constructor takes the fields by position
-    or keyword, fills in defaults (calling a Factory default once per
-    instance) and then calls __post_init__ if the class has one.  Instances
-    compare equal and hash by their field values, only against instances of
-    the same class; any assignment or deletion raises AttributeError; repr
-    is `Name(field=value, ...)`.  Fields live in the instance __dict__, so
-    functools.cached_property works on records.  A plain subclass keeps the
-    fields and may override __post_init__.
+    or keyword, fills in defaults and then calls __post_init__ if the class
+    has one.  Instances compare equal and hash by their field values, only
+    against instances of the same class; any assignment or deletion raises
+    AttributeError; repr is `Name(field=value, ...)`.  Fields live in the
+    instance __dict__, so functools.cached_property works on records.  A
+    plain subclass keeps the fields and may override __post_init__.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    for name, default in defaults.items():
-        if isinstance(default, Factory):
-            delattr(cls, name)
     post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
@@ -78,8 +67,7 @@ def _bind(cls_name: str, names: tuple, defaults: dict, args: tuple, kwargs: dict
         if name in kwargs:
             out.append(kwargs.pop(name))
         elif name in defaults:
-            default = defaults[name]
-            out.append(default.make() if isinstance(default, Factory) else default)
+            out.append(defaults[name])
         else:
             raise TypeError(f"{cls_name}() missing required argument {name!r}")
     if kwargs:

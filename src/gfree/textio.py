@@ -29,8 +29,10 @@ the lax parser builds the tree anyway so a validator can report them.
 
 Plain tree files: nested parentheses, one node per "()" pair.
 
-Both tree formats are read by one explicit-stack reader, so nesting depth
-is not bounded by the interpreter's recursion limit.
+Each tree format is read by one loop over a generator of tokens, with an
+explicit stack of open nodes, so nesting depth is not bounded by the
+interpreter's recursion limit and a read holds the tree, not a list of its
+tokens.
 
 Only the graph format is needed at import: the tree functions import the
 cotree layer when they run, so graph I/O loads just `graphs`.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .errors import FormatError
 from .graphs import Graph, make_graph
@@ -183,64 +185,25 @@ _LEAF_RE = re.compile(r"[^\s()]+")
 _TOKEN_RE = re.compile(r"[()]|" + _LEAF_RE.pattern)
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
+def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
     """Parentheses and whitespace-free names, each with its line and column."""
-    return [
-        (m.group(), line, m.start() + 1)
-        for line, row in enumerate(text.split("\n"), 1)
-        for m in _TOKEN_RE.finditer(row)
-    ]
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(row):
+            yield m.group(), line, m.start() + 1
 
 
-def _read_tree(
-    text: str,
-    opened: Callable[[Callable[[], tuple[str, int, int]], object], object],
-    leaf: Callable[[str, int, int], object],
-    closed: Callable[[object, int, int, list], object],
-):
-    """Read one parenthesized tree, with an explicit stack of open nodes.
-
-    On "(" opened(take, state of the enclosing open node or None) gives the
-    new node's state, and may call take() for the tokens that follow the
-    parenthesis; any other token becomes leaf(token, line, col); on the
-    matching ")" closed(state, line, col of its "(", children) builds the
-    node.
-    """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def take() -> tuple[str, int, int]:
-        nonlocal pos
-        if pos == len(tokens):
-            raise FormatError("unexpected end of input")
-        pos += 1
-        return tokens[pos - 1]
-
-    stack: list[tuple[object, int, int, list]] = []  # state, line, col, children
-    while True:
-        tok, line, col = take()
-        if tok == "(":
-            stack.append((opened(take, stack[-1][0] if stack else None), line, col, []))
-            node = None
-        else:
-            node = leaf(tok, line, col)
-        while stack:
-            state, line, col, children = stack[-1]
-            if node is not None:
-                children.append(node)
-            if pos == len(tokens):
-                raise FormatError("missing ')'", line=line, col=col)
-            if tokens[pos][0] != ")":
-                break
-            pos += 1
-            stack.pop()
-            node = closed(state, line, col, children)
-        if not stack:
-            break
-    if pos < len(tokens):
-        tok, line, col = tokens[pos]
+def _end(tokens: Iterator[tuple[str, int, int]], stack: list, root):
+    """The root of a tree read whose loop stopped, at the root or at the end
+    of the tokens; or the fault: "missing ')'" at the innermost open "("
+    (each stack entry starts with its line and column), no token at all, or
+    a token after the root."""
+    if stack:
+        raise FormatError("missing ')'", line=stack[-1][0], col=stack[-1][1])
+    if root is None:
+        raise FormatError("unexpected end of input")
+    for tok, line, col in tokens:
         raise FormatError(f"unexpected trailing token {tok!r}", line=line, col=col)
-    return node
+    return root
 
 
 def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
@@ -252,55 +215,59 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     """
     from .cotree import Inner, Leaf
 
+    tokens = _tokenize(text)
+    stack: list[tuple[int, int, list, int]] = []  # line, col of "(", children, label
     seen: set[str] = set()
-
-    def leaf(tok: str, line: int, col: int) -> Leaf:
+    root = None
+    for tok, line, col in tokens:
+        if tok == "(":
+            label = _label(next(tokens, None), strict, stack[-1][3] if stack else None)
+            stack.append((line, col, [], label))
+            continue
         if tok == ")":
-            raise FormatError("unexpected ')'", line=line, col=col)
-        if strict:
-            if tok in seen:
-                raise FormatError(f"duplicate leaf name {tok!r}", line=line, col=col)
-            seen.add(tok)
-        return Leaf(tok)
+            if not stack:
+                raise FormatError("unexpected ')'", line=line, col=col)
+            line, col, children, label = stack.pop()
+            if strict and len(children) < 2:
+                raise FormatError(
+                    f"internal node has {len(children)} child(ren), needs >= 2",
+                    line=line,
+                    col=col,
+                )
+            node = Inner(label, tuple(children))
+        else:
+            if strict:
+                if tok in seen:
+                    raise FormatError(f"duplicate leaf name {tok!r}", line=line, col=col)
+                seen.add(tok)
+            node = Leaf(tok)
+        if not stack:
+            root = node
+            break
+        stack[-1][2].append(node)
+    return _end(tokens, stack, root)
 
-    def opened(take, parent_label) -> int:
-        lab_tok, lab_line, lab_col = take()
-        if not lab_tok.isdecimal():
-            raise FormatError(
-                f"internal node label must be an integer, got {lab_tok!r}",
-                line=lab_line,
-                col=lab_col,
-            )
-        try:
-            label = int(lab_tok)
-        except ValueError:  # more digits than int() converts
-            raise FormatError(
-                f"internal node label is too long ({len(lab_tok)} digits)",
-                line=lab_line,
-                col=lab_col,
-            ) from None
-        if strict and label not in (0, 1):
-            raise FormatError(
-                f"internal node label must be 0 or 1, got {label}",
-                line=lab_line,
-                col=lab_col,
-            )
-        if strict and label == parent_label:
-            raise FormatError(
-                f"child label {label} equals parent label", line=lab_line, col=lab_col
-            )
-        return label
 
-    def closed(label: int, line: int, col: int, children: list) -> Inner:
-        if strict and len(children) < 2:
-            raise FormatError(
-                f"internal node has {len(children)} child(ren), needs >= 2",
-                line=line,
-                col=col,
-            )
-        return Inner(label, tuple(children))
-
-    return _read_tree(text, opened, leaf, closed)
+def _label(token: tuple[str, int, int] | None, strict: bool, parent: int | None) -> int:
+    """The label of an internal node from the token after its "("."""
+    if token is None:
+        raise FormatError("unexpected end of input")
+    tok, line, col = token
+    if not tok.isdecimal():
+        raise FormatError(
+            f"internal node label must be an integer, got {tok!r}", line=line, col=col
+        )
+    try:
+        label = int(tok)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(
+            f"internal node label is too long ({len(tok)} digits)", line=line, col=col
+        ) from None
+    if strict and label not in (0, 1):
+        raise FormatError(f"internal node label must be 0 or 1, got {label}", line=line, col=col)
+    if strict and label == parent:
+        raise FormatError(f"child label {label} equals parent label", line=line, col=col)
+    return label
 
 
 def format_cotree(t: CotreeNode) -> str:
@@ -318,15 +285,21 @@ def parse_plain_tree(text: str) -> PlainTree:
     """Parse a nested-parentheses rooted tree, e.g. "(()(()))"."""
     from .cotree import PlainTree
 
-    def leaf(tok: str, line: int, col: int):
-        raise FormatError(f"expected '(', got {tok!r}", line=line, col=col)
-
-    return _read_tree(
-        text,
-        lambda take, parent: None,
-        leaf,
-        lambda state, line, col, children: PlainTree(tuple(children)),
-    )
+    tokens = _tokenize(text)
+    stack: list[tuple[int, int, list]] = []  # line, col of "(", children
+    root = None
+    for tok, line, col in tokens:
+        if tok == "(":
+            stack.append((line, col, []))
+            continue
+        if tok != ")" or not stack:
+            raise FormatError(f"expected '(', got {tok!r}", line=line, col=col)
+        node = PlainTree(tuple(stack.pop()[2]))
+        if not stack:
+            root = node
+            break
+        stack[-1][2].append(node)
+    return _end(tokens, stack, root)
 
 
 def format_plain_tree(t: PlainTree) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 from pathlib import Path
@@ -223,6 +224,82 @@ def test_streamed_read_peak_is_the_graph_not_the_file(tmp_path: Path) -> None:
     peak = _peak_bytes(_load_graph, str(once))
     assert peak < 500_000
     assert _peak_bytes(_load_graph, str(twice)) < 1.25 * peak
+
+
+# One row per fault of the tree readers: reader, text, the exact message.
+TREE_FAULTS = [
+    ("strict", "", "unexpected end of input"),
+    ("strict", "(", "unexpected end of input"),
+    ("strict", "(x a b)", "internal node label must be an integer, got 'x' (line 1, col 2)"),
+    ("lax", "(1 a\n (\u00b2 b c))", "internal node label must be an integer, got '\u00b2' (line 2, col 3)"),
+    ("strict", "(" + "1" * 5000 + " a b)", "internal node label is too long (5000 digits) (line 1, col 2)"),
+    ("lax", "(0 a (" + "7" * 4301 + " b))", "internal node label is too long (4301 digits) (line 1, col 7)"),
+    ("strict", "(2 a b)", "internal node label must be 0 or 1, got 2 (line 1, col 2)"),
+    ("strict", "(1 a\n  (1 b c))", "child label 1 equals parent label (line 2, col 4)"),
+    ("strict", "(1 a (0 b)\n)", "internal node has 1 child(ren), needs >= 2 (line 1, col 6)"),
+    ("strict", "(0)", "internal node has 0 child(ren), needs >= 2 (line 1, col 1)"),
+    ("strict", "(0 a (1 b\n  a))", "duplicate leaf name 'a' (line 2, col 3)"),
+    ("strict", ")", "unexpected ')' (line 1, col 1)"),
+    ("lax", " \n )", "unexpected ')' (line 2, col 2)"),
+    ("strict", "(1 a (0 b c)", "missing ')' (line 1, col 1)"),
+    ("strict", "(1 a\n (0 b c", "missing ')' (line 2, col 2)"),
+    ("lax", "(5 a", "missing ')' (line 1, col 1)"),
+    ("strict", "(1 a b) c", "unexpected trailing token 'c' (line 1, col 9)"),
+    ("strict", "a )", "unexpected trailing token ')' (line 1, col 3)"),
+    ("lax", "(1 a)\n(", "unexpected trailing token '(' (line 2, col 1)"),
+    ("plain", "", "unexpected end of input"),
+    ("plain", "a", "expected '(', got 'a' (line 1, col 1)"),
+    ("plain", ")", "expected '(', got ')' (line 1, col 1)"),
+    ("plain", "(()\n a)", "expected '(', got 'a' (line 2, col 2)"),
+    ("plain", "((", "missing ')' (line 1, col 2)"),
+    ("plain", "(()\n(()", "missing ')' (line 2, col 1)"),
+    ("plain", "()()", "unexpected trailing token '(' (line 1, col 3)"),
+    ("plain", "(())\n)", "unexpected trailing token ')' (line 2, col 1)"),
+]
+
+TREE_READERS = {
+    "strict": parse_cotree,
+    "lax": lambda text: parse_cotree(text, strict=False),
+    "plain": parse_plain_tree,
+}
+
+
+@pytest.mark.parametrize("reader, text, message", TREE_FAULTS)
+def test_tree_reader_fault_message(reader: str, text: str, message: str) -> None:
+    with pytest.raises(FormatError) as exc:
+        TREE_READERS[reader](text)
+    assert str(exc.value) == message
+
+
+def _caterpillar_cotree(depth: int) -> str:
+    inner = f"v{depth}"
+    for i in reversed(range(depth)):
+        inner = f"({i % 2} v{i} {inner})"
+    return inner
+
+
+TREE_TEXTS = {
+    "flat cotree": ("strict", "(0 " + " ".join(f"v{i}" for i in range(3000)) + ")"),
+    "caterpillar cotree": ("strict", _caterpillar_cotree(2000)),
+    "flat plain tree": ("plain", "(" + "()" * 3000 + ")"),
+    "deep plain tree": ("plain", "(" * 2000 + ")" * 2000),
+}
+
+
+@pytest.mark.parametrize("name", TREE_TEXTS)
+def test_tree_read_peak_is_the_tree_not_its_tokens(name: str) -> None:
+    reader, text = TREE_TEXTS[name]
+    parse = TREE_READERS[reader]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = parse(text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+        peak = _peak_bytes(parse, text)
+    finally:
+        tracemalloc.stop()
+    assert tree is not None and peak < 1.5 * kept
 
 
 def test_parse_cotree_basic() -> None:

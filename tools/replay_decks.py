@@ -10,7 +10,10 @@ deck holds 1200-vertex graph files and depth-600 and depth-700 cotrees) and
 runs every request as `python -m gfree.cli ...` under each tree in three
 spellings: as text, with --json, and as text with each option and its value
 in one token (`--flag=value`, `-kVALUE`), a form that only the argparse
-fallback of the CLI reads.  It compares the exit code, the stdout and
+fallback of the CLI reads.  A request that reads a cotree (.cotree) or
+plain-tree (.tree) file runs once more, as text, on a copy of each such
+file cut at half its length, which replays the tree readers' faults on
+real deck files.  It compares the exit code, the stdout and
 stderr bytes and the file that a --sidecar option names.  On the first
 mismatch it prints the request and what differs and exits 1; otherwise it
 prints how many runs agreed and exits 0.  It uses the standard library only
@@ -34,6 +37,7 @@ from workloads import WORKLOADS, Deck  # noqa: E402
 
 DECKS = ("cotree", "search", "deep")
 SEEDS = (1, 7)
+TREE_SUFFIXES = (".cotree", ".tree")
 
 # Exit code, stdout, stderr and the sidecar's text (None when the run
 # wrote none).
@@ -50,10 +54,22 @@ def _joined(argv: list[str]) -> list[str]:
     return out
 
 
-def _modes(argv: list[str]) -> tuple[list[str], ...]:
-    """The request as text, as --json, and as text with joined options."""
+def _cut(path: str) -> str:
+    """A copy of the file at path, cut at half its length, beside it."""
+    src = Path(path)
+    data = src.read_bytes()
+    cut = src.with_name(f"{src.stem}-cut{src.suffix}")
+    cut.write_bytes(data[: len(data) // 2])
+    return str(cut)
+
+
+def _modes(argv: list[str]) -> list[list[str]]:
+    """The request as text, as --json, as text with joined options and, when
+    it reads a tree file, as text on cut copies of its tree files."""
     text = [a for a in argv if a != "--json"]
-    return text, [*text, "--json"], _joined(text)
+    cut = [_cut(a) if a.endswith(TREE_SUFFIXES) else a for a in text]
+    modes = [text, [*text, "--json"], _joined(text)]
+    return modes + [cut] if cut != text else modes
 
 
 def _run(src: Path, argv: list[str], sidecar: Path) -> Result:
@@ -125,7 +141,10 @@ def main() -> int:
                     print(f"mismatch in {mismatch}")
                     pool.shutdown(cancel_futures=True)
                     return 1
-    print(f"{len(runs)} requests agree: decks {DECKS}, seeds {SEEDS}, text, --json and joined")
+    print(
+        f"{len(runs)} requests agree: decks {DECKS}, seeds {SEEDS}, text, --json, joined"
+        " and on cut tree files"
+    )
     return 0
 
 
