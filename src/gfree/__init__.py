@@ -1,6 +1,6 @@
 """Cographs, decomposition trees, and forbidden-subgraph machinery.
 
-Immutable graphs with brute-force oracles, cotree construction and
+Immutable graphs with an induced-subgraph search, cotree construction and
 canonical codes, module formulas, labeled-tree embedding tests, cycle
 antichains, a graph-into-free-graph encoding functor with decoder and
 isomorphism transports, bounded existential-type fragments, and
@@ -17,7 +17,7 @@ import importlib
 
 _EXPORTS = {
     "automorphism": "NoZ3Report Permutation automorphisms check_no_z3 order3_to_order2",
-    "census": "cograph_classes cotree_shapes graph_classes rooted_trees",
+    "census": "cograph_classes cotree_shapes",
     "cotree": (
         "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation"
         " canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph"
@@ -45,7 +45,6 @@ _EXPORTS = {
         " find_induced_embedding induced_subgraph is_free is_isomorphic"
         " labeled_chain_sum make_graph path_graph relabel"
     ),
-    "oracles": "module_closure_oracle module_from_meets",
     "search": "VertexMap",
     "textio": (
         "format_cotree format_graph format_plain_tree parse_cotree parse_graph"

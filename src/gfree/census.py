@@ -1,85 +1,35 @@
-"""Exhaustive enumeration of small unlabeled graphs, cotrees, and rooted trees.
+"""Exhaustive enumeration of small cotrees and cographs.
 
-One representative per isomorphism class, in a deterministic order.  These
-enumerations back the brute-force cross-checks; sizes stay small, so simple
-orbit marking and multiset recursion are fast enough.  Each function states
-its bound and raises TooLargeError past it, before enumerating anything:
-graphs up to 7 vertices, cotrees and rooted trees up to 12 leaves or nodes.
+One representative per isomorphism class, in a deterministic order, built
+by multiset recursion over cotree shapes; the no-Z3 sweep runs over these.
+cotree_shapes states its bound and raises TooLargeError past it, before
+enumerating anything: cotrees up to 12 leaves.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence, TypeVar
 
-from .cotree import CotreeNode, Inner, Leaf, PlainTree, _canon_leaf, _canonical, realize
+from .cotree import CotreeNode, Inner, Leaf, _canon_leaf, _canonical, realize
 from .errors import TooLargeError
-from .graphs import Graph, make_graph
+from .graphs import Graph
 
-__all__ = [
-    "graph_classes",
-    "cotree_shapes",
-    "cograph_classes",
-    "rooted_trees",
-]
+__all__ = ["cotree_shapes", "cograph_classes"]
 
 T = TypeVar("T")
 
-# The tree enumerations stop at 12, the no-Z3 sweep's target size, which
-# covers check_no_z3's current cap of 9.
+# The cotree enumeration stops at 12 leaves, the no-Z3 sweep's target size,
+# which covers check_no_z3's current cap of 9.
 _MAX_TREE_SIZE = 12
 
 
-def graph_classes(n: int) -> list[Graph]:
-    """All unlabeled graphs on n vertices, one representative each.
-
-    Orbit marking over edge-set bitmasks; cost grows with (number of
-    classes) * n!, so n is bounded by 7 (TooLargeError past it).
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n > 7:
-        raise TooLargeError(f"graph classes are enumerated up to 7 vertices, got {n}")
-    names = [f"g{i}" for i in range(n)]
-    if n == 0:
-        return [make_graph([], [])]
-    pairs = list(itertools.combinations(range(n), 2))
-    pidx = {p: i for i, p in enumerate(pairs)}
-    # pair-index images under every vertex permutation
-    perm_maps: list[list[int]] = []
-    for perm in itertools.permutations(range(n)):
-        perm_maps.append(
-            [pidx[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
-        )
-    seen = bytearray(1 << len(pairs))
-    reps: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        if seen[mask]:
-            continue
-        for pm in perm_maps:
-            image = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                image |= 1 << pm[low.bit_length() - 1]
-                rest ^= low
-            seen[image] = 1
-        edges = [
-            (names[i], names[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1
-        ]
-        reps.append(make_graph(names, edges))
-    return reps
-
-
-def _multisets(
-    items: Sequence[tuple[T, int]], total: int, min_count: int
-) -> Iterator[tuple[T, ...]]:
-    """Multisets over weighted items with the given total weight."""
+def _multisets(items: Sequence[tuple[T, int]], total: int) -> Iterator[tuple[T, ...]]:
+    """Multisets of at least two weighted items with the given total weight."""
 
     def rec(start: int, remaining: int, chosen: list[T]) -> Iterator[tuple[T, ...]]:
         if remaining == 0:
-            if len(chosen) >= min_count:
+            if len(chosen) >= 2:
                 yield tuple(chosen)
             return
         for i in range(start, len(items)):
@@ -103,9 +53,7 @@ def _shapes(leaves: int, label: int) -> tuple[CotreeNode, ...]:
     candidates: list[tuple[CotreeNode, int]] = [(Leaf(""), 1)]
     for m in range(2, leaves):
         candidates.extend((s, m) for s in _shapes(m, 1 - label))
-    return tuple(
-        Inner(label, kids) for kids in _multisets(candidates, leaves, 2)
-    )
+    return tuple(Inner(label, kids) for kids in _multisets(candidates, leaves))
 
 
 def cotree_shapes(leaves: int) -> list[CotreeNode]:
@@ -135,31 +83,3 @@ def cograph_classes(n: int) -> list[Graph]:
     """All unlabeled cographs on n vertices, one representative each,
     realized from the cotree enumeration."""
     return [realize(t) for t in cotree_shapes(n)]
-
-
-@lru_cache(maxsize=None)
-def _rtrees(nodes: int) -> tuple[PlainTree, ...]:
-    if nodes < 1:
-        return ()
-    if nodes == 1:
-        return (PlainTree(),)
-    candidates: list[tuple[PlainTree, int]] = []
-    for m in range(1, nodes):
-        candidates.extend((t, m) for t in _rtrees(m))
-    return tuple(
-        PlainTree(kids) for kids in _multisets(candidates, nodes - 1, 1)
-    )
-
-
-def rooted_trees(nodes: int) -> list[PlainTree]:
-    """All rooted trees with exactly that many nodes, up to isomorphism.
-
-    Limited to 12 nodes: TooLargeError past it, before any enumeration.
-    """
-    if nodes < 1:
-        raise ValueError(f"need nodes >= 1, got {nodes}")
-    if nodes > _MAX_TREE_SIZE:
-        raise TooLargeError(
-            f"rooted trees are enumerated up to {_MAX_TREE_SIZE} nodes, got {nodes}"
-        )
-    return list(_rtrees(nodes))

@@ -133,7 +133,6 @@ def _placements(
     hrows: Sequence[int],
     fits: Sequence[int],
     order: Sequence[int],
-    used: int = 0,
 ) -> Iterator[list[tuple[int, int]]]:
     """Every injective placement of the pattern positions in order onto
     host positions, as (pattern, host) pairs, that keeps adjacency between
@@ -141,15 +140,15 @@ def _placements(
 
     Every induced-subgraph search of the package runs here, tree
     embeddings (whose rows relate tree nodes) included.  Position
-    order[d]'s candidates are fits[order[d]] minus used and minus the host
-    positions taken at earlier depths, intersected with the host row (or
-    its complement) of every earlier placement.  Whatever else a caller
-    needs, such as agreement with positions it has fixed itself, it folds
-    into fits.  Candidates are taken lowest bit first, so placements come
-    out in lexicographic order of their host positions.  The untried
-    candidates of every depth sit on an explicit stack, so depth is not
-    bounded by the recursion limit.  The yielded list is the search's own
-    and changes as the search goes on: copy it to keep it.
+    order[d]'s candidates are fits[order[d]] minus the host positions taken
+    at earlier depths, intersected with the host row (or its complement) of
+    every earlier placement.  Whatever else a caller needs, such as a
+    position pinned to one image (its fits that single bit, placed first),
+    it folds into fits and order.  Candidates are taken lowest bit first,
+    so placements come out in lexicographic order of their host positions.
+    The untried candidates of every depth sit on an explicit stack, so
+    depth is not bounded by the recursion limit.  The yielded list is the
+    search's own and changes as the search goes on: copy it to keep it.
     """
     if not order:
         yield []
@@ -158,7 +157,8 @@ def _placements(
     last = len(order) - 1
     rest = [0] * len(order)  # untried candidates per depth
     depth = 0
-    cand = fits[order[0]] & ~used
+    used = 0
+    cand = fits[order[0]]
     while True:
         if cand:
             low = cand & -cand
@@ -188,30 +188,14 @@ def _embeddings(
     pattern: Graph, host: Graph, partial: Mapping[str, str]
 ) -> Iterator[dict[str, str]]:
     """Every induced embedding of pattern into host extending partial, in
-    lexicographic order of their images: _placements over the free pattern
-    vertices in declared order, with each one's fits narrowed by the
-    partial map's pairs."""
-    padj, hadj = pattern.rows, host.rows
-    fits = _fits(padj, hadj)
-    fixed = [(pattern.index[u], host.index[v]) for u, v in partial.items()]
-    used = 0
-    # The fixed part must itself be consistent.
-    for p, h in fixed:
-        if not fits[p] >> h & 1:
-            return
-        for q, k in fixed:
-            if q != p and (padj[p] >> q & 1) != (hadj[h] >> k & 1):
-                return
-        used |= 1 << h
+    lexicographic order of their images: _placements over the partial
+    map's pattern vertices, each pinned to its image, then the free ones in
+    declared order."""
+    fits = _fits(pattern.rows, host.rows)
     pnames, hnames = pattern.vertices, host.vertices
-    order = [p for p, v in enumerate(pnames) if v not in partial]
-    for p in order:
-        row = padj[p]
-        for q, h in fixed:
-            fits[p] &= hadj[h] if row >> q & 1 else ~hadj[h]
-    named = {pnames[p]: hnames[h] for p, h in fixed}
-    for pairs in _placements(padj, hadj, fits, order, used):
-        found = dict(named)
-        for p, h in pairs:
-            found[pnames[p]] = hnames[h]
-        yield found
+    order = [pattern.index[u] for u in partial]
+    for p, v in zip(order, partial.values()):
+        fits[p] &= 1 << host.index[v]
+    order += [p for p, v in enumerate(pnames) if v not in partial]
+    for pairs in _placements(pattern.rows, host.rows, fits, order):
+        yield {pnames[p]: hnames[h] for p, h in pairs}

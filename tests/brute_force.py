@@ -1,18 +1,80 @@
-"""Brute-force module oracles, kept as independent checks of cotree.py.
+"""Brute-force enumerations and module oracles for the tests.
 
-No command loads this module: the tests compare least_module and
-least_strong_module against these, so the CLI never compiles them.
+Independent of the code they check: graph_classes marks edge-set orbits
+(up to 7 vertices), rooted_tree_classes scans parent arrays, and the module
+oracles grow a closure, enumerate every vertex subset (up to 12 vertices)
+or read meets off the decomposition tree.  least_module and
+least_strong_module must agree with the oracles, census.cograph_classes
+with the P4-free graph classes.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
-from .cotree import ModuleSet, _pair_guard, decompose, leaf_paths, meet_path
-from .errors import TooLargeError
-from .graphs import Graph
+from gfree import Graph, ModuleSet, PlainTree, TooLargeError, make_graph, plain_tree_code
+from gfree.cotree import _pair_guard, decompose, leaf_paths, meet_path
 
-__all__ = ["module_closure_oracle", "module_from_meets"]
+
+def graph_classes(n: int) -> list[Graph]:
+    """All unlabeled graphs on n vertices, one representative each.
+
+    Orbit marking over edge-set bitmasks; cost grows with (number of
+    classes) * n!, so n is bounded by 7 (TooLargeError past it).
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if n > 7:
+        raise TooLargeError(f"graph classes are enumerated up to 7 vertices, got {n}")
+    names = [f"g{i}" for i in range(n)]
+    if n == 0:
+        return [make_graph([], [])]
+    pairs = list(itertools.combinations(range(n), 2))
+    pidx = {p: i for i, p in enumerate(pairs)}
+    # pair-index images under every vertex permutation
+    perm_maps: list[list[int]] = []
+    for perm in itertools.permutations(range(n)):
+        perm_maps.append(
+            [pidx[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
+        )
+    seen = bytearray(1 << len(pairs))
+    reps: list[Graph] = []
+    for mask in range(1 << len(pairs)):
+        if seen[mask]:
+            continue
+        for pm in perm_maps:
+            image = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                image |= 1 << pm[low.bit_length() - 1]
+                rest ^= low
+            seen[image] = 1
+        edges = [
+            (names[i], names[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1
+        ]
+        reps.append(make_graph(names, edges))
+    return reps
+
+
+def rooted_tree_classes(n: int) -> list[PlainTree]:
+    """All rooted trees with n >= 1 nodes, one per isomorphism class: the
+    first in a scan of every parent array with parent(i) < i, which covers
+    every class, since each rooted tree has such a labeling.  The scan has
+    (n-1)! arrays, so keep n to 7 or so."""
+    trees: dict[bytes, PlainTree] = {}
+    for parents in itertools.product(*(range(i) for i in range(1, n))):
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for child, parent in enumerate(parents, start=1):
+            kids[parent].append(child)
+
+        def build(i: int) -> PlainTree:
+            return PlainTree(tuple(build(c) for c in kids[i]))
+
+        tree = build(0)
+        trees.setdefault(plain_tree_code(tree), tree)
+    return list(trees.values())
 
 
 # The module oracle enumerates all 2^n vertex subsets, so it stops at 12

@@ -4,6 +4,13 @@ import functools
 import time
 from itertools import combinations, permutations
 
+from brute_force import (
+    graph_classes,
+    module_closure_oracle,
+    module_from_meets,
+    rooted_tree_classes,
+)
+
 from gfree import (
     ConstantedGraph,
     EmptyIndexSetError,
@@ -26,7 +33,6 @@ from gfree import (
     encode_phi,
     find_induced_embedding,
     gadget_params,
-    graph_classes,
     induced_subgraph,
     interpret_tree_from_graph,
     is_free,
@@ -34,13 +40,10 @@ from gfree import (
     least_module,
     least_strong_module,
     make_graph,
-    module_closure_oracle,
-    module_from_meets,
     order3_to_order2,
     path_graph,
     realize,
     relabel,
-    rooted_trees,
     tree_lift,
     type_fragment,
 )
@@ -258,7 +261,7 @@ def _mirror(t: PlainTree) -> PlainTree:
 
 @_criterion(10, "tree lift separates rooted trees with at most 5 nodes")
 def test_criterion_10_tree_lift() -> None:
-    trees = [t for n in range(1, 6) for t in rooted_trees(n)]
+    trees = [t for n in range(1, 6) for t in rooted_tree_classes(n)]
     assert len(trees) == 17
     lifted = [realize(tree_lift(t, 2)) for t in trees]
     for (t1, g1), (t2, g2) in combinations(zip(trees, lifted), 2):

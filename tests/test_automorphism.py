@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from brute_force import graph_classes
 
 from gfree import (
     BadSizeError,
@@ -23,7 +24,6 @@ from gfree import (
     cotree_shapes,
     cycle_graph,
     decompose,
-    graph_classes,
     make_graph,
     normalize,
     path_graph,

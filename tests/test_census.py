@@ -1,34 +1,31 @@
 from __future__ import annotations
 
-from itertools import combinations, count, product
+from itertools import combinations, count
 
 import pytest
+from brute_force import graph_classes, rooted_tree_classes
 
 from gfree import (
     Inner,
     Leaf,
-    PlainTree,
     TooLargeError,
     canonical_code,
     cograph_classes,
     cotree_shapes,
     decompose,
     ensure_valid,
-    graph_classes,
     is_free,
     is_isomorphic,
     leaf_names,
     make_graph,
     normalize,
     path_graph,
-    plain_tree_code,
     realize,
-    rooted_trees,
 )
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 COGRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 24, 6: 66, 7: 180}
-ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9}
+ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48}
 
 
 def _all_labeled_graphs(n: int):
@@ -36,24 +33,6 @@ def _all_labeled_graphs(n: int):
     pairs = list(combinations(names, 2))
     for mask in range(1 << len(pairs)):
         yield make_graph(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
-def _increasing_tree_codes(n: int) -> set[bytes]:
-    """Every rooted tree admits a labeling where parent(i) < i, so scanning
-    all such parent arrays covers every isomorphism class."""
-    if n == 1:
-        return {plain_tree_code(PlainTree(()))}
-    codes = set()
-    for parents in product(*(range(i) for i in range(1, n))):
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for child, parent in enumerate(parents, start=1):
-            kids[parent].append(child)
-
-        def build(i: int) -> PlainTree:
-            return PlainTree(tuple(build(c) for c in kids[i]))
-
-        codes.add(plain_tree_code(build(0)))
-    return codes
 
 
 def test_graph_class_counts() -> None:
@@ -66,8 +45,8 @@ def test_graph_class_counts() -> None:
 
 def test_graph_classes_rejects_more_than_7_vertices(monkeypatch) -> None:
     # n = 8 would mark 2^28 edge sets under 8! permutations; the bound must
-    # be checked before any of that starts, so census may not touch itertools.
-    monkeypatch.setattr("gfree.census.itertools", None)
+    # be checked before any of that starts, so it may not touch itertools.
+    monkeypatch.setattr("brute_force.itertools", None)
     with pytest.raises(TooLargeError):
         graph_classes(8)
 
@@ -148,30 +127,18 @@ def test_cotree_shapes_realize_each_cograph_once() -> None:
 
 def test_rooted_tree_counts() -> None:
     for n, want in ROOTED_TREE_COUNTS.items():
-        assert len(rooted_trees(n)) == want
-    with pytest.raises(ValueError, match="need nodes >= 1"):
-        rooted_trees(0)
+        assert len(rooted_tree_classes(n)) == want
 
 
-def test_rooted_trees_cover_all_shapes() -> None:
-    for n in range(1, 6):
-        ours = {plain_tree_code(t) for t in rooted_trees(n)}
-        assert len(ours) == len(rooted_trees(n))
-        assert ours == _increasing_tree_codes(n)
-
-
-@pytest.mark.parametrize(
-    "enumerate_trees, recursion", [(cotree_shapes, "_shapes"), (rooted_trees, "_rtrees")]
-)
-def test_tree_enumerations_state_their_bound(monkeypatch, enumerate_trees, recursion) -> None:
+def test_tree_enumerations_state_their_bound(monkeypatch) -> None:
     from gfree import census
 
     def enumerates(*args):
         raise AssertionError("enumerated past the bound")
 
-    monkeypatch.setattr(census, recursion, enumerates)
+    monkeypatch.setattr(census, "_shapes", enumerates)
     with pytest.raises(TooLargeError, match="up to 12"):
-        enumerate_trees(13)
+        cotree_shapes(13)
     # The bound is 12 itself: that call reaches the enumeration.
     with pytest.raises(AssertionError):
-        enumerate_trees(12)
+        cotree_shapes(12)

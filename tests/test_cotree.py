@@ -4,6 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from brute_force import (
+    _module_masks,
+    _strong_module_masks,
+    module_closure_oracle,
+    module_from_meets,
+    rooted_tree_classes,
+)
 
 from gfree import (
     EmptyGraphError,
@@ -34,8 +41,6 @@ from gfree import (
     least_module,
     least_strong_module,
     make_graph,
-    module_closure_oracle,
-    module_from_meets,
     normalize,
     parse_cotree,
     parse_plain_tree,
@@ -43,11 +48,9 @@ from gfree import (
     plain_tree_code,
     realize,
     relabel,
-    rooted_trees,
     tree_lift,
     validate_cotree,
 )
-from gfree.oracles import _module_masks, _strong_module_masks
 
 P3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K2 = make_graph(["a", "b"], [("a", "b")])
@@ -483,20 +486,20 @@ def test_tree_lift_requires_k_at_least_two() -> None:
 
 def test_tree_lift_output_is_valid() -> None:
     for n in range(1, 5):
-        for t in rooted_trees(n):
+        for t in rooted_tree_classes(n):
             ensure_valid(tree_lift(t, 2))
             ensure_valid(tree_lift(t, 3))
 
 
 def test_tree_lift_is_built_in_canonical_order() -> None:
     for n in range(1, 8):
-        for t in rooted_trees(n):
+        for t in rooted_tree_classes(n):
             for k in (2, 3):
                 assert normalize(tree_lift(t, k)) == tree_lift(t, k)
 
 
 def test_tree_lift_injective_on_small_trees() -> None:
-    pool = [t for n in range(1, 5) for t in rooted_trees(n)]
+    pool = [t for n in range(1, 5) for t in rooted_tree_classes(n)]
     for s, t in combinations(pool, 2):
         same_tree = plain_tree_code(s) == plain_tree_code(t)
         lifted_same = (

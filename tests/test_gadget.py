@@ -4,6 +4,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from brute_force import graph_classes
 
 from gfree import (
     ForbiddenInsideP4Error,
@@ -16,7 +17,6 @@ from gfree import (
     encode_phi,
     find_induced_embedding,
     gadget_params,
-    graph_classes,
     induced_subgraph,
     is_free,
     is_isomorphic,

@@ -4,6 +4,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from brute_force import graph_classes
 
 from gfree import (
     BadPartialError,
@@ -22,7 +23,6 @@ from gfree import (
     decompose,
     enumerate_extensions,
     find_induced_embedding,
-    graph_classes,
     induced_subgraph,
     is_free,
     is_isomorphic,
@@ -74,9 +74,20 @@ def _random_pairs(seed: int, count: int):
 
 
 def test_find_induced_embedding_is_first_in_declared_order() -> None:
+    rng = random.Random(20261020)
     for pattern, host, partial in _random_pairs(20261018, 400):
-        want = _first_embedding_oracle(pattern, host, partial)
-        assert find_induced_embedding(pattern, host, partial) == want
+        # Partials of two and three pairs too: about half taken from the
+        # first embedding, when there is one, so they extend; the rest
+        # drawn at random.
+        k = min(rng.choice((2, 3)), pattern.n, host.n)
+        drawn = _first_embedding_oracle(pattern, host, {}) if rng.random() < 0.5 else None
+        if drawn is None:
+            pins = dict(zip(rng.sample(pattern.vertices, k), rng.sample(host.vertices, k)))
+        else:
+            pins = {v: drawn[v] for v in rng.sample(pattern.vertices, k)}
+        for fixed in (partial, pins):
+            want = _first_embedding_oracle(pattern, host, fixed)
+            assert find_induced_embedding(pattern, host, fixed) == want
 
 
 def test_find_induced_embedding_existence_matches_networkx() -> None:
@@ -297,6 +308,9 @@ def test_find_induced_embedding_respects_partial() -> None:
     k2 = make_graph(["a", "b"], [("a", "b")])
     blocked = VertexMap.from_dict({"a": "g0", "b": "g2"})
     assert find_induced_embedding(k2, c4, blocked) is None
+    # P3 sits in P4, but not with its middle vertex on an end of degree 1.
+    assert find_induced_embedding(p3, path_graph(4)) is not None
+    assert find_induced_embedding(p3, path_graph(4), {"g1": "g0"}) is None
 
 
 def test_find_induced_embedding_rejects_bad_partial() -> None:

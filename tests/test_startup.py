@@ -42,15 +42,13 @@ LAYERS = {
     "gfree.census",
     "gfree.embedding",
     "gfree.search",
-    "gfree.oracles",
 }
 
 # The exact gfree modules each subcommand loads (the CLI itself runs as
 # __main__, so gfree.cli is not among them).  Graph I/O needs only graphs;
 # a command loads cotree only when it builds, reads or prints a tree, and
 # search only when it searches: a cograph request never does, but one whose
-# input graph holds a P4 searches for its witness.  No request loads the
-# test-only gfree.oracles.
+# input graph holds a P4 searches for its witness.
 GRAPH_IO = {"gfree", "gfree.errors", "gfree.graphs", "gfree.textio"}
 TREES = GRAPH_IO | {"gfree.cotree"}
 SEARCH = {"gfree.search"}
@@ -124,7 +122,6 @@ def _check_loads(argv: list[str], cwd: Path) -> None:
     loaded = _loaded(argv, cwd)
     expected = LOADS[argv[0]] | (SEARCH if "p4.graph" in argv else set())
     assert {m for m in loaded if m.split(".")[0] == "gfree"} == expected
-    assert "gfree.oracles" not in loaded
     assert not loaded & {"dataclasses", "argparse", "gettext"}
 
 
@@ -174,10 +171,10 @@ def test_bare_package_import_loads_no_submodule() -> None:
     assert proc.stdout == "[]\n", proc.stderr
 
 
-# Every name the package exported eagerly before it became lazy, by module.
+# Every name the package exports, by module.
 EXPORTS = {
     "automorphism": "NoZ3Report Permutation automorphisms check_no_z3 order3_to_order2",
-    "census": "cograph_classes cotree_shapes graph_classes rooted_trees",
+    "census": "cograph_classes cotree_shapes",
     "cotree": "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation "
     "canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph "
     "leaf_names leaf_paths least_module least_strong_module meet_path normalize "
@@ -195,7 +192,6 @@ EXPORTS = {
     "graphs": "Graph combine complement connected_components cycle_graph "
     "find_induced_embedding induced_subgraph is_free is_isomorphic labeled_chain_sum "
     "make_graph path_graph relabel",
-    "oracles": "module_closure_oracle module_from_meets",
     "search": "VertexMap",
     "textio": "format_cotree format_graph format_plain_tree parse_cotree parse_graph "
     "parse_plain_tree",
@@ -206,7 +202,7 @@ EXPORTS = {
 
 def test_every_exported_name_resolves_to_its_defining_object() -> None:
     pairs = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
-    assert len(pairs) == 98
+    assert len(pairs) == 94
     for module, name in pairs:
         namespace: dict = {}
         exec(f"from gfree import {name}", namespace)

@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from brute_force import graph_classes
 
 from gfree import (
     BadSizeError,
@@ -19,7 +20,6 @@ from gfree import (
     enumerate_extensions,
     eval_existential,
     find_induced_embedding,
-    graph_classes,
     induced_subgraph,
     is_free,
     is_isomorphic,
