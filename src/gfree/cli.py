@@ -393,7 +393,7 @@ _COMMANDS = {
     "aut": ("list all automorphisms of a graph", ["graph"]),
     "no-z3": (
         "exhaustive order-3 automorphism group search",
-        [("--max-n", {"type": int, "required": True, "dest": "max_n"})],
+        [("--max-n", {"type": int, "required": True})],
     ),
 }
 

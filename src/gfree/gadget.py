@@ -35,13 +35,21 @@ __all__ = [
 
 @record
 class GadgetParams:
-    forbidden: Graph
     complemented: bool
     n: int  # largest induced cycle length of the working forbidden graph
     path_len: int  # internal vertices per pair path = |forbidden|
-    edge_cycle: int  # n + 1
-    non_edge_cycle: int  # n + 2
-    hub_cycle: int  # n + 3
+
+    @property
+    def edge_cycle(self) -> int:
+        return self.n + 1
+
+    @property
+    def non_edge_cycle(self) -> int:
+        return self.n + 2
+
+    @property
+    def hub_cycle(self) -> int:
+        return self.n + 3
 
 
 @record
@@ -55,11 +63,15 @@ class EncodedGraph:
     """
 
     graph: Graph
-    hub_of: tuple[tuple[str, str], ...]  # (original vertex, hub) in input order
     params: GadgetParams
-    hub_cycles: tuple[tuple[str, tuple[str, ...]], ...]
+    hub_cycles: tuple[tuple[str, tuple[str, ...]], ...]  # (original vertex, cycle from its hub)
     path_internals: tuple[tuple[str, str, tuple[str, ...]], ...]
     marker_cycles: tuple[tuple[str, tuple[str, ...]], ...]
+
+    @property
+    def hub_of(self) -> tuple[tuple[str, str], ...]:
+        """(original vertex, hub) in input order."""
+        return tuple([(v, cyc[0]) for v, cyc in self.hub_cycles])
 
     @cached_property
     def deliverable(self) -> Graph:
@@ -69,15 +81,7 @@ class EncodedGraph:
 def gadget_params(forbidden: Graph) -> GadgetParams:
     """Cycle lengths and path length for a forbidden graph not inside P4."""
     complemented, n = antichain_params(forbidden)
-    return GadgetParams(
-        forbidden=forbidden,
-        complemented=complemented,
-        n=n,
-        path_len=forbidden.n,
-        edge_cycle=n + 1,
-        non_edge_cycle=n + 2,
-        hub_cycle=n + 3,
-    )
+    return GadgetParams(complemented, n, forbidden.n)
 
 
 def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
@@ -101,14 +105,12 @@ def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
         edges.append((cyc[-1], cyc[0]))
         return tuple(cyc)
 
-    hub_of: list[tuple[str, str]] = []
     hub_cycles: list[tuple[str, tuple[str, ...]]] = []
     for v in h.vertices:
         hub = fresh()
         names.append(hub)
         hub_cycles.append((v, attach_cycle(hub, params.hub_cycle)))
-        hub_of.append((v, hub))
-    hubs = dict(hub_of)
+    hubs = {v: cyc[0] for v, cyc in hub_cycles}
 
     path_internals: list[tuple[str, str, tuple[str, ...]]] = []
     marker_cycles: list[tuple[str, tuple[str, ...]]] = []
@@ -127,7 +129,6 @@ def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
 
     return EncodedGraph(
         graph=make_graph(names, edges),
-        hub_of=tuple(hub_of),
         params=params,
         hub_cycles=tuple(hub_cycles),
         path_internals=tuple(path_internals),
@@ -161,15 +162,15 @@ def _marker_cycle_of(e: Graph, degree: list[int], anchor: int) -> int:
     return cycles.pop()
 
 
-def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]:
-    """Decode a pre-complement encoding; returns the graph and its hubs.
+def decode_psi(e: Graph, params: GadgetParams) -> Graph:
+    """Recover the original graph from a pre-complement encoding.
 
     Decoded vertices keep their hub names, in the encoding's declared order.
     The walks run on the rows, in declared order, so the first defect found
     in a malformed encoding does not depend on hashing.
     """
     if e.n == 0:
-        return make_graph([], []), []
+        return make_graph([], [])
     rows, names = e.rows, e.vertices
     degree = [row.bit_count() for row in rows]
     if min(degree) < 2:
@@ -185,7 +186,7 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
             )
         if len(_components(rows, (1 << e.n) - 1)) != 1:
             raise MalformedEncodingError("anchor-free encoding is not one cycle")
-        return make_graph(names[:1], []), [names[0]]
+        return make_graph(names[:1], [])
 
     covered = 0
     kind: dict[int, int] = {}
@@ -253,14 +254,8 @@ def _decode_with_hubs(e: Graph, params: GadgetParams) -> tuple[Graph, list[str]]
     if covered != (1 << e.n) - 1:  # every anchor lies on its marker cycle
         raise MalformedEncodingError("vertices outside every marker cycle and path")
 
-    hub_names = [names[h] for h in hubs]
     edges = [(names[a], names[b]) for (a, b), flag in pair_kind.items() if flag == 1]
-    return make_graph(hub_names, edges), hub_names
-
-
-def decode_psi(e: Graph, params: GadgetParams) -> Graph:
-    """Recover the original graph from a pre-complement encoding."""
-    return _decode_with_hubs(e, params)[0]
+    return make_graph([names[h] for h in hubs], edges)
 
 
 def _ensure_iso(g: Graph, h: Graph, f: VertexMap, what: str) -> None:
@@ -305,13 +300,12 @@ def transport_iso_psi(
 ) -> VertexMap:
     """Restrict an isomorphism of encodings to the decoded graphs."""
     _ensure_iso(e1, e2, f, "the given map")
-    d1, hubs1 = _decode_with_hubs(e1, params)
-    d2, hubs2 = _decode_with_hubs(e2, params)
-    hub_set2 = set(hubs2)
+    d1 = decode_psi(e1, params)
+    d2 = decode_psi(e2, params)
     mapping: dict[str, str] = {}
-    for hub in hubs1:
+    for hub in d1.vertices:
         image = f[hub]
-        if image not in hub_set2:
+        if image not in d2.index:
             raise NotIsomorphismError(f"hub {hub!r} maps to non-hub {image!r}")
         mapping[hub] = image
     out = VertexMap.from_dict(mapping)
@@ -322,7 +316,6 @@ def transport_iso_psi(
 def natural_iso_lambda(h: Graph, params: GadgetParams) -> VertexMap:
     """Canonical isomorphism from h onto decode_psi(encode_phi(h))."""
     enc = encode_phi(h, params)
-    decoded, _ = _decode_with_hubs(enc.graph, params)
     out = VertexMap.from_dict(dict(enc.hub_of))
-    _ensure_iso(h, decoded, out, "the vertex-to-hub map")
+    _ensure_iso(h, decode_psi(enc.graph, params), out, "the vertex-to-hub map")
     return out

@@ -29,7 +29,6 @@ from gfree import (
     path_graph,
     realize,
 )
-from gfree.automorphism import _automorphism_count
 
 # A graph whose automorphism group has order 3 needs at least 9 vertices.
 # This one has 15 edges: the triangles a_i b_i c_i, the triangle b_0 b_1
@@ -226,20 +225,25 @@ def test_automorphism_group_orders_of_cographs_up_to_7() -> None:
     ]
 
 
-def test_capped_count_matches_enumeration() -> None:
-    for n in range(1, 7):
-        for g in graph_classes(n):
-            total = len(automorphisms(g))
-            for cap in (1, 2, 3, 4):
-                assert _automorphism_count(g, cap) == min(total, cap)
+def _sweep_one(monkeypatch, g):
+    """check_no_z3(9) over a census that holds only g."""
+    monkeypatch.setattr("gfree.census.cograph_classes", lambda n: [g] if n == g.n else [])
+    return check_no_z3(9)
+
+
+def test_check_no_z3_counts_past_3(monkeypatch) -> None:
+    # C4 has 8 automorphisms and P3 has 2: a count that stopped at 3, or a
+    # test other than "exactly 3", would flag one of them.
+    for g, order in ((cycle_graph(4), 8), (path_graph(3), 2)):
+        assert len(automorphisms(g)) == order
+        report = _sweep_one(monkeypatch, g)
+        assert report.ok and report.total == 1
 
 
 def test_check_no_z3_flags_an_order_3_group(monkeypatch) -> None:
     assert Z3_GRAPH.m == 15
     assert len(automorphisms(Z3_GRAPH)) == 3
-    assert _automorphism_count(Z3_GRAPH, 4) == 3
-    monkeypatch.setattr("gfree.census.cograph_classes", lambda n: [Z3_GRAPH] if n == 9 else [])
-    report = check_no_z3(9)
+    report = _sweep_one(monkeypatch, Z3_GRAPH)
     assert report.offenders == (Z3_GRAPH,)
     assert not report.ok
 

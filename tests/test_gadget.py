@@ -8,6 +8,7 @@ from brute_force import graph_classes
 
 from gfree import (
     ForbiddenInsideP4Error,
+    GadgetParams,
     MalformedEncodingError,
     NotIsomorphismError,
     VertexMap,
@@ -82,6 +83,19 @@ def test_gadget_params_path_len_at_least_n() -> None:
     for forbidden in [C3, cycle_graph(4), cycle_graph(5), path_graph(5), K3_PLUS_K1]:
         p = gadget_params(forbidden)
         assert p.path_len >= p.n
+
+
+def test_gadget_params_are_three_values() -> None:
+    params = GadgetParams(False, 3, 3)
+    assert params == gadget_params(C3)
+    enc = encode_phi(P3, params)
+    assert enc == encode_phi(P3, gadget_params(C3))
+    assert is_isomorphic(decode_psi(enc.graph, params), P3) is not None
+    # the forbidden graph itself is not kept: K3 + K1 and the paw share
+    # (complemented, n, order), so they give equal params
+    paw = make_graph("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+    assert gadget_params(K3_PLUS_K1) == gadget_params(paw) == GadgetParams(False, 3, 4)
+    assert encode_phi(K2, params).hub_of == (("a", "g0"), ("b", "g6"))
 
 
 def test_gadget_params_rejects_p4_subgraphs() -> None:
