@@ -144,20 +144,23 @@ def check_no_z3(max_n: int) -> NoZ3Report:
     Each cograph's automorphisms are counted on the enumeration that
     `automorphisms` runs, stopping at the fourth and building no
     Permutation: a group has order 3 iff that count is exactly 3.  The
-    sweep stays bounded at 9 vertices.
+    cographs of each size are realized one at a time from the census's
+    cotree stream and counted as they pass.  The sweep stays bounded at 9
+    vertices.
     """
     if max_n < 0:
         raise BadSizeError(f"max_n must be nonnegative, got {max_n}")
     if max_n > 9:
         raise TooLargeError(f"exhaustive search limited to 9 vertices, got {max_n}")
-    from .census import cograph_classes
+    from .census import _cotrees
 
     examined: list[tuple[int, int]] = []
     offenders: list[Graph] = []
     for n in range(1, max_n + 1):
-        classes = cograph_classes(n)
-        examined.append((n, len(classes)))
-        for g in classes:
+        count = 0
+        for g in _cotrees(n, realized=True):  # one cograph alive at a time
+            count += 1
             if sum(1 for _ in islice(_embeddings(g, g, {}), 4)) == 3:
                 offenders.append(g)
+        examined.append((n, count))
     return NoZ3Report(max_n, tuple(examined), tuple(offenders))

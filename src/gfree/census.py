@@ -56,12 +56,10 @@ def _shapes(leaves: int, label: int) -> tuple[CotreeNode, ...]:
     return tuple(Inner(label, kids) for kids in _multisets(candidates, leaves))
 
 
-def cotree_shapes(leaves: int) -> list[CotreeNode]:
-    """All valid cotrees with exactly that many leaves, up to label-preserving
-    isomorphism, with default leaf names g0, g1, ... and canonical child order.
-
-    Limited to 12 leaves: TooLargeError past it, before any enumeration.
-    """
+def _cotrees(leaves: int, realized: bool = False) -> Iterator[CotreeNode | Graph]:
+    """The cotrees of cotree_shapes(leaves) one at a time, in its order, or
+    with realized set the graph each realizes.  The bound is checked on the
+    call, before any enumeration."""
     if leaves < 1:
         raise ValueError(f"need leaves >= 1, got {leaves}")
     if leaves > _MAX_TREE_SIZE:
@@ -69,17 +67,28 @@ def cotree_shapes(leaves: int) -> list[CotreeNode]:
             f"cotree shapes are enumerated up to {_MAX_TREE_SIZE} leaves, got {leaves}"
         )
     if leaves == 1:
-        return [Leaf("g0")]
-    named = [_canon_leaf(Leaf(f"g{i}")) for i in range(leaves)]
-    out: list[CotreeNode] = []
-    for label in (0, 1):
-        for shape in _shapes(leaves, label):
+        trees: Iterator[CotreeNode] = iter([Leaf("g0")])
+    else:
+        named = [_canon_leaf(Leaf(f"g{i}")) for i in range(leaves)]
+
+        def name(shape: CotreeNode) -> CotreeNode:
             names = iter(named)  # the leaves in preorder
-            out.append(_canonical(shape, lambda _: next(names))[0])
-    return out
+            return _canonical(shape, lambda _: next(names))[0]
+
+        trees = (name(shape) for label in (0, 1) for shape in _shapes(leaves, label))
+    return map(realize, trees) if realized else trees
+
+
+def cotree_shapes(leaves: int) -> list[CotreeNode]:
+    """All valid cotrees with exactly that many leaves, up to label-preserving
+    isomorphism, with default leaf names g0, g1, ... and canonical child order.
+
+    Limited to 12 leaves: TooLargeError past it, before any enumeration.
+    """
+    return list(_cotrees(leaves))
 
 
 def cograph_classes(n: int) -> list[Graph]:
     """All unlabeled cographs on n vertices, one representative each,
     realized from the cotree enumeration."""
-    return [realize(t) for t in cotree_shapes(n)]
+    return list(_cotrees(n, realized=True))

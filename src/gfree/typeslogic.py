@@ -10,8 +10,9 @@ The k-bounded type fragment of a target collects the formulas of all
 forbidden-free extensions that hold in it.
 
 Enumeration, deduplication and evaluation run on the graphs' adjacency
-rows (Graph.rows).  Enumeration is one breadth-first pass, which
-type_fragment caches (_extension_tree).  Each candidate extension is its
+rows (Graph.rows).  Enumeration is one breadth-first pass
+(_extension_tree), which expands only the kept graphs a callback accepts;
+enumerate_extensions expands them all.  Each candidate extension is its
 parent's rows plus one new row, and stays a rows tuple unless it is kept;
 a kept one is a plain Graph, which only enumerate_extensions wraps with
 the base's constants.  A parent is already forbidden-free, so the
@@ -23,16 +24,16 @@ signatures, and once two of those exist, only those with its refined key
 as well (_refined_key).  The exact check (_fixes_base) runs the graph
 layer's one search on positions, placing each fresh position only where
 the kept graph's signature table allows.
-Evaluation runs the same search on a product host (eval_existential), and
-type_fragment skips every extension whose parent's formula already failed,
-since the child's formula contains it.
+Evaluation runs the same search on a product host (eval_existential).
+type_fragment evaluates each kept graph as the pass keeps it and expands
+only those whose formula holds, since a child's formula contains its
+parent's; so it never keeps the extensions of a failed formula.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     BadSizeError,
@@ -157,10 +158,13 @@ def _fixes_base(
     Each other position may go only to the host positions with its
     signature, read from the host's table, which also places it correctly
     against the fixed ones; _placements then checks adjacency among the
-    rest.
+    rest, placing the positions with the fewest candidates first (placed in
+    position order, the empty-base C3, k = 9 type fragments of acceptance
+    criterion 7 spent about 3.5x as long here).
     """
     fits = [0] * pinned + [host_table.get(sig, 0) for sig in sigs]
-    placed = _placements(rows, host_rows, fits, range(pinned, len(rows)))
+    order = sorted(range(pinned, len(rows)), key=lambda p: fits[p].bit_count())
+    placed = _placements(rows, host_rows, fits, order)
     return next(placed, None) is not None
 
 
@@ -203,15 +207,20 @@ def _free_masks(g: Graph, pieces: list[tuple[tuple[int, ...], int]]) -> list[int
     return [m for m in range(1 << g.n) if not any(m & s in ts for s, ts in by_image)]
 
 
-# type_fragment asks for one base per target, and a caller comparing
-# several targets (criterion 7 of the acceptance suite) reuses one base.
-@lru_cache(maxsize=8)
 def _extension_tree(
-    base: ConstantedGraph, forbidden: Graph, k: int
-) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
-    """The graphs of enumerate_extensions, base first, each with the
-    position (in the same tuple) of the kept graph it was built from; -1 for
-    the base.  The base's vertices come first in every graph, in order."""
+    base: ConstantedGraph,
+    forbidden: Graph,
+    k: int,
+    grow: Callable[[Graph], bool] | None = None,
+) -> list[Graph]:
+    """The base and every kept extension that grow accepted, in
+    breadth-first order; the base's vertices come first in each, in order.
+
+    grow(graph) is called once on each kept graph, the base first, right
+    after deduplication, and only the graphs it returns true for are
+    expanded.  Without grow every graph is expanded and returned: the
+    graphs of enumerate_extensions.
+    """
     if k < 0:
         raise BadSizeError(f"need k >= 0, got {k}")
     pinned = base.graph.n
@@ -227,17 +236,19 @@ def _extension_tree(
         if base.graph.has_vertex(name):
             raise DuplicateVertexError(f"base vertex {name!r} collides with the fresh-name scheme")
     pieces = _pieces(forbidden)
-    graphs, parents = [base.graph], [-1]
-    for parent, g in enumerate(graphs):  # breadth first: graphs grows behind
+    grown = [base.graph] if grow is None or grow(base.graph) else []
+    level = -1  # vertex count of the parents the dedup tables serve
+    for g in grown:  # breadth first: grown grows behind
         if g.n == pinned + k:
             break
-        if parent == 0 or g.n > graphs[parent - 1].n:
+        if g.n > level:
+            level = g.n
             # Kept graphs one size up, by sorted signatures: a lone graph, or
             # once a second arrives, lists by refined key; entries (rows, table).
             # Both one-tier forms measured slower (2 vCPUs, Python 3.11): a
             # refined key for every candidate took the search deck's 76 types
-            # requests 1.7x as long, and lists by signature alone took the
-            # empty-base C3, k = 9 enumeration about 4x as long.
+            # requests about 1.1x as long, and lists by signature alone took
+            # the empty-base C3, k = 9 enumeration about 2x as long.
             lone: dict[tuple, tuple] = {}
             split: dict[tuple, dict[tuple, list[tuple]]] = {}
         names = g.vertices + (str(g.n - pinned),)
@@ -259,9 +270,10 @@ def _extension_tree(
                 bucket.append((rows, _signature_table(sigs, pinned)))
             else:
                 lone[key] = (rows, _signature_table(sigs, pinned))
-            graphs.append(Graph(names, rows))
-            parents.append(parent)
-    return tuple(graphs), tuple(parents)
+            ext = Graph(names, rows)
+            if grow is None or grow(ext):
+                grown.append(ext)
+    return grown
 
 
 def enumerate_extensions(
@@ -283,7 +295,7 @@ def enumerate_extensions(
     parent, of n + k - 1 vertices, may have at most 20, or TooLargeError is
     raised.  With k = 0 nothing is listed and any base is accepted.
     """
-    graphs = _extension_tree.__wrapped__(base, forbidden, k)[0]  # uncached: freed with the list
+    graphs = _extension_tree(base, forbidden, k)
     return [base, *(ConstantedGraph(g, base.constants) for g in graphs[1:])]
 
 
@@ -385,27 +397,29 @@ def type_fragment(
     target: ConstantedGraph, forbidden: Graph, k: int
 ) -> list[ExistentialFormula]:
     """Formulas of all forbidden-free extensions of the constants' induced
-    subgraph by at most k fresh vertices that hold in the target.
+    subgraph by at most k fresh vertices that hold in the target, in the
+    order of enumerate_extensions.
 
     An extension's formula holds every literal of the formula of the graph
-    it was built from, under the same variable names, so an extension whose
-    parent's formula fails in the target fails too and is not evaluated.
+    it was built from, under the same variable names, so only the
+    extensions whose formula holds are expanded.  Holding is invariant
+    under isomorphisms fixing the base, so each class that holds is still
+    first found from a parent that holds, in the same relative order.
     """
     base = ConstantedGraph(
         induced_subgraph(target.graph, target.constants), target.constants
     )
-    graphs, parents = _extension_tree(base, forbidden, k)
     # every extension lists the base vertices first, then the fresh ones
     base_verts = base.graph.vertices
     pinned = list(range(len(base_verts)))
-    holds: list[bool] = []
-    out = []
-    for g, parent in zip(graphs, parents):
-        ok = parent < 0 or holds[parent]
+    out: list[ExistentialFormula] = []
+
+    def holds(g: Graph) -> bool:
+        phi = _formula(g.rows, base_verts, pinned, list(range(len(pinned), g.n)))
+        ok = eval_existential(phi, target)
         if ok:
-            phi = _formula(g.rows, base_verts, pinned, list(range(len(pinned), g.n)))
-            ok = eval_existential(phi, target)
-            if ok:
-                out.append(phi)
-        holds.append(ok)
+            out.append(phi)
+        return ok
+
+    _extension_tree(base, forbidden, k, holds)
     return out

@@ -226,8 +226,8 @@ def test_automorphism_group_orders_of_cographs_up_to_7() -> None:
 
 
 def _sweep_one(monkeypatch, g):
-    """check_no_z3(9) over a census that holds only g."""
-    monkeypatch.setattr("gfree.census.cograph_classes", lambda n: [g] if n == g.n else [])
+    """check_no_z3(9) over a census stream that holds only g."""
+    monkeypatch.setattr("gfree.census._cotrees", lambda n, realized: iter([g] if n == g.n else []))
     return check_no_z3(9)
 
 
@@ -246,6 +246,22 @@ def test_check_no_z3_flags_an_order_3_group(monkeypatch) -> None:
     report = _sweep_one(monkeypatch, Z3_GRAPH)
     assert report.offenders == (Z3_GRAPH,)
     assert not report.ok
+
+
+def test_check_no_z3_holds_one_cograph_at_a_time() -> None:
+    """The sweep realizes each cograph as it counts it, so check_no_z3(7)
+    never holds the 180 seven-vertex cographs at once (holding them took
+    about 220 KB traced with warm caches)."""
+    import tracemalloc
+
+    assert check_no_z3(7).total == 287  # warms imports and caches
+    tracemalloc.start()
+    try:
+        check_no_z3(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def test_check_no_z3_trivial() -> None:

@@ -142,3 +142,14 @@ def test_tree_enumerations_state_their_bound(monkeypatch) -> None:
     # The bound is 12 itself: that call reaches the enumeration.
     with pytest.raises(AssertionError):
         cotree_shapes(12)
+
+
+def test_the_lists_equal_the_cotree_stream() -> None:
+    from gfree.census import _cotrees
+
+    for n in range(1, 8):
+        assert cotree_shapes(n) == list(_cotrees(n))
+        assert cograph_classes(n) == list(_cotrees(n, realized=True))
+    for bad, error in ((0, ValueError), (13, TooLargeError)):
+        with pytest.raises(error):
+            _cotrees(bad, realized=True)  # on the call, not at the first step

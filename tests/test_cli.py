@@ -200,6 +200,17 @@ def test_types_rejects_empty_forbidden(tmp_path: Path) -> None:
         assert (res.exit_code, res.stdout) == (2, "error: freeness needs a nonempty forbidden graph\n")
 
 
+def test_types_of_a_triangle_free_edge_at_k_8_ends(tmp_path: Path) -> None:
+    """Only the extensions whose formula holds are expanded: K2 with the
+    triangle forbidden at k = 8 prints its 45 formulas in well under a
+    second, where expanding every kept extension ran for over a minute."""
+    k2 = _write(tmp_path, "k2.graph", K2_TEXT)
+    c3 = _write(tmp_path, "c3.graph", C3_TEXT)
+    res = run_command(["types", "--base", k2, "--forbidden", c3, "-k", "8"])
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 45
+
+
 def test_types_states_its_size_bound(tmp_path: Path) -> None:
     """Every neighbour mask of a parent is listed, so a parent may have at
     most 20 vertices; with k = 0 nothing is enumerated and any base goes."""

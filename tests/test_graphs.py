@@ -489,7 +489,8 @@ def test_rows_of_extension_candidates() -> None:
     """Each candidate as make_graph builds it from the parent's names and
     edges plus the new vertex joined to a subset of them: the trace verdict
     on every mask equals is_free on that graph, and every kept graph has
-    exactly its rows."""
+    exactly its rows: those of the kept graph it was built from, which
+    drops its last row and bit, plus its last row as the mask."""
     from gfree.typeslogic import _extension_tree, _free_masks, _pieces
 
     rng = random.Random(20261024)
@@ -504,7 +505,7 @@ def test_rows_of_extension_candidates() -> None:
                 continue
             base = ConstantedGraph(base_g, tuple(names[:1]))
             k = rng.randint(1, 3)
-            exts, parents = _extension_tree(base, forbidden, k)
+            exts = _extension_tree(base, forbidden, k)
             wrapped = [ConstantedGraph(g, base.constants) for g in exts]
             assert wrapped == enumerate_extensions(base, forbidden, k)
             built: dict[int, list[Graph]] = {}
@@ -519,8 +520,10 @@ def test_rows_of_extension_candidates() -> None:
                 free = [mask for mask, cand in enumerate(built[p]) if is_free(cand, forbidden)]
                 assert _free_masks(parent, pieces) == free
                 blocked += len(built[p]) - len(free)
-            for ext, p in zip(exts[1:], parents[1:]):
-                want = built[p][ext.rows[-1]]
+            position = {g.rows: p for p, g in enumerate(exts)}
+            for ext in exts[1:]:
+                bit = 1 << ext.n - 1
+                want = built[position[tuple(row & ~bit for row in ext.rows[:-1])]][ext.rows[-1]]
                 assert ext == want
                 _assert_valid_rows(ext, set(want.edges))
     assert blocked > 1000

@@ -443,21 +443,34 @@ def _type_fragment_full(
     ]
 
 
+def _random_target(rng: random.Random, size: int, constants: int | None) -> ConstantedGraph:
+    """A random graph on t0 .. t{size-1}, in shuffled order, with that many
+    of its vertices as constants, or all of them with constants None."""
+    names = [f"t{i}" for i in range(size)]
+    rng.shuffle(names)
+    density = rng.uniform(0.2, 0.8)
+    edges = [(u, v) for u, v in combinations(names, 2) if rng.random() < density]
+    g = make_graph(names, edges)
+    return ConstantedGraph(g, g.vertices if constants is None else tuple(rng.sample(names, constants)))
+
+
 def test_type_fragment_matches_full_evaluation() -> None:
-    """Targets larger than the base, which the CLI never builds: the
-    constants are a random subset of the target's vertices."""
+    """Targets larger than the base, whose constants are a random subset of
+    the target's vertices, and the targets the CLI builds, whose constants
+    are all of them, with k up to 4."""
     forbidden = [P3, C3, path_graph(4), cycle_graph(4), PAW]
     rng = random.Random(31)
     cases = failed = 0
-    while cases < 150:
-        names = [f"t{i}" for i in range(rng.randint(1, 7))]
-        rng.shuffle(names)
-        density = rng.uniform(0.2, 0.8)
-        edges = [(u, v) for u, v in combinations(names, 2) if rng.random() < density]
-        constants = tuple(rng.sample(names, min(len(names), rng.randint(0, 3))))
-        target = ConstantedGraph(make_graph(names, edges), constants)
-        base = ConstantedGraph(induced_subgraph(target.graph, constants), constants)
-        f, k = rng.choice(forbidden), rng.randint(0, 3)
+    while cases < 190:
+        f = rng.choice(forbidden)
+        if cases < 150:
+            size = rng.randint(1, 7)
+            target = _random_target(rng, size, min(size, rng.randint(0, 3)))
+            k = rng.randint(0, 3)
+        else:  # at most 6 vertices in all: a 5-vertex target with k = 4 takes seconds
+            k = rng.randint(0, 4)
+            target = _random_target(rng, rng.randint(0, 6 - k), None)
+        base = ConstantedGraph(induced_subgraph(target.graph, target.constants), target.constants)
         if not is_free(base.graph, f):
             continue
         cases += 1
@@ -469,10 +482,20 @@ def test_type_fragment_matches_full_evaluation() -> None:
 
 def test_type_fragment_calls_public_eval_once_per_evaluated_extension(monkeypatch) -> None:
     """type_fragment evaluates through the module's eval_existential, which
-    the benchmark's tracer wraps by name: once for the base and once for
-    every extension whose parent's formula holds."""
+    the benchmark's tracer wraps by name: once on each graph of the pruned
+    enumeration, which expands only the graphs whose formula holds."""
     from gfree import typeslogic
+    from gfree.typeslogic import _extension_tree
 
+    target = ConstantedGraph(make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), ("a",))
+    base = ConstantedGraph(induced_subgraph(target.graph, ("a",)), ("a",))
+    kept: list[ExistentialFormula] = []
+
+    def holds(g: Graph) -> bool:
+        kept.append(phi_formula(ConstantedGraph(g, ("a",)), base))
+        return eval_existential(kept[-1], target)
+
+    _extension_tree(base, C3, 3, holds)
     calls: list[tuple[ExistentialFormula, bool]] = []
 
     def spy(phi: ExistentialFormula, target: ConstantedGraph) -> bool:
@@ -480,30 +503,58 @@ def test_type_fragment_calls_public_eval_once_per_evaluated_extension(monkeypatc
         return calls[-1][1]
 
     monkeypatch.setattr(typeslogic, "eval_existential", spy)
-    target = ConstantedGraph(make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), ("a",))
-    base = ConstantedGraph(induced_subgraph(target.graph, ("a",)), ("a",))
     frag = type_fragment(target, C3, 3)
-    extensions = enumerate_extensions(base, C3, 3)
-    evaluated = 0
-    for ext in extensions:
-        # the base's formula, "true", holds; a deeper extension's parent is
-        # the extension without its last fresh vertex
-        parent = induced_subgraph(ext.graph, ext.graph.vertices[:-1])
-        evaluated += ext.graph.n <= 2 or eval_existential(
-            phi_formula(ConstantedGraph(parent, ("a",)), base), target
-        )
-    assert len(extensions) > len(calls) == evaluated > len(frag) > 1
+    assert [phi for phi, _ in calls] == kept
     assert frag == [phi for phi, ok in calls if ok]
+    assert len(enumerate_extensions(base, C3, 3)) > len(calls) > len(frag) > 1
 
 
-def test_type_fragment_enumerates_once_for_targets_sharing_a_base() -> None:
-    from gfree.typeslogic import _extension_tree
+def test_type_fragment_expands_only_extensions_whose_formula_holds(monkeypatch) -> None:
+    """Every parent whose one-vertex extensions are listed has a formula
+    that holds in the target, and each holding formula with fewer than k
+    bound variables is expanded once, in order."""
+    from gfree import typeslogic
 
-    _extension_tree.cache_clear()
-    for target in (P3, cycle_graph(4)):  # the constants g0, g1 are adjacent in both
-        type_fragment(ConstantedGraph(target, ("g0", "g1")), C3, 2)
-    info = _extension_tree.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    parents: list[Graph] = []
+
+    def recording(g: Graph, pieces):
+        parents.append(g)
+        return free_masks(g, pieces)
+
+    free_masks = typeslogic._free_masks
+    monkeypatch.setattr(typeslogic, "_free_masks", recording)
+    rng = random.Random(5)
+    for target, f, k in [
+        (ConstantedGraph(P3, ("g0", "g1")), C3, 2),
+        (ConstantedGraph(cycle_graph(4), ("g0", "g1")), C3, 3),
+        (ConstantedGraph(cycle_graph(5), ()), C3, 5),
+        (ConstantedGraph(PAW, PAW.vertices), path_graph(4), 3),
+        *((_random_target(rng, 6, 2), cycle_graph(4), 3) for _ in range(5)),
+    ]:
+        parents.clear()
+        frag = type_fragment(target, f, k)
+        base = ConstantedGraph(induced_subgraph(target.graph, target.constants), target.constants)
+        expanded = [phi_formula(ConstantedGraph(g, target.constants), base) for g in parents]
+        assert all(eval_existential(phi, target) for phi in expanded)
+        assert expanded == [phi for phi in frag if phi.bound_count < k]
+        assert len(frag) < len(enumerate_extensions(base, f, k))
+
+
+def test_type_fragment_keeps_no_extension_of_a_failed_formula() -> None:
+    """K2, forbidden P5, k = 4 keeps 976 extensions but only 15 formulas
+    hold; expanding only those stays far below the whole tree's traced peak
+    (about 640 KB when the whole tree was built)."""
+    import tracemalloc
+
+    target = ConstantedGraph(make_graph(["a", "b"], [("a", "b")]), ("a", "b"))
+    type_fragment(target, path_graph(5), 1)  # loads the search engine
+    tracemalloc.start()
+    try:
+        assert len(type_fragment(target, path_graph(5), 4)) == 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def test_type_fragment_negative_k() -> None:
