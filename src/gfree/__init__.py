@@ -19,10 +19,8 @@ _EXPORTS = {
     "automorphism": "NoZ3Report Permutation automorphisms check_no_z3 order3_to_order2",
     "census": "cograph_classes cotree_shapes",
     "cotree": (
-        "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation"
-        " canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph"
-        " leaf_names leaf_paths least_module least_strong_module meet_path normalize"
-        " plain_tree_code realize tree_lift validate_cotree"
+        "canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph"
+        " least_module least_strong_module normalize realize validate_cotree"
     ),
     "embedding": (
         "TreeEmbedding antichain_graph antichain_params cograph_induced_via_trees"
@@ -49,6 +47,10 @@ _EXPORTS = {
     "textio": (
         "format_cotree format_graph format_plain_tree parse_cotree parse_graph"
         " parse_plain_tree"
+    ),
+    "trees": (
+        "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation"
+        " leaf_names leaf_paths meet_path plain_tree_code tree_lift"
     ),
     "typeslogic": (
         "ConstantedGraph ExistentialFormula enumerate_extensions eval_existential"

@@ -85,7 +85,8 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     into the three sibling subtrees A, B, C holding a, b, c and the rest D.
     The involution applies f on A, its inverse on B, and fixes C and D.
     """
-    from .cotree import decompose, leaf_paths, meet_path
+    from .cotree import decompose
+    from .trees import leaf_paths, meet_path
 
     if not _is_isomorphism(g, g, f.as_dict()):
         raise NotIsomorphismError("the given map is not an automorphism")

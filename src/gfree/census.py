@@ -11,9 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence, TypeVar
 
-from .cotree import CotreeNode, Inner, Leaf, _canon_leaf, _canonical, realize
+from .cotree import realize
 from .errors import TooLargeError
 from .graphs import Graph
+from .trees import CotreeNode, Inner, Leaf, _canon_leaf, _canonical
 
 __all__ = ["cotree_shapes", "cograph_classes"]
 

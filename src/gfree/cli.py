@@ -9,23 +9,27 @@ every report in an object with fields command, inputs, verdict, optional
 witness, and stats; an error becomes an object with verdict "error" and its
 text in message.
 
-Every handler returns one Report, and _render alone turns it into text or
-JSON; a witness that only --json prints may be a function, called only then.
-A report's text is a string or, for a printed graph, a sequence of pieces:
-main writes them to stdout as they come, joined into batches of about 64
-KiB, so printing a graph costs memory for one batch, not for the whole
-text, and the number of writes does not grow with the number of edge
-lines; run_command joins them, so its stdout is a string.  When stdout
-cannot be written (a full disk, a closed pipe), main exits 2 with one
-error line on stderr, never with the report's verdict.
+Every handler (in `commands`) returns one Report, and _render alone turns
+it into text or JSON; a witness that only --json prints may be a function,
+called only then.  A report's text is a string or, for a printed graph, a
+sequence of pieces: main writes them to stdout as they come, joined into
+batches of about 64 KiB, so printing a graph costs memory for one batch,
+not for the whole text, and the number of writes does not grow with the
+number of edge lines; run_command joins them, so its stdout is a string.
+Under --json such a graph is the witness, and "witness" sorts after every
+other key, so the document is written up to it, then the graph's pieces
+each as its JSON-escaped text, then the tail: the same batches, and the
+same bytes as one json.dumps.  When stdout cannot be written (a full
+disk, a closed pipe), main exits 2 with one error line on stderr, never
+with the report's verdict.
 
 Start-up is kept lean, because a request's cost is mostly start-up: at
-module level this file imports only sys, pathlib, types, typing and
-errors, and each handler imports the layer functions it calls when it
-runs, so a request loads only the modules whose code it runs (`json` only
-under --json).  Handlers look the functions up in their defining modules at call
-time, so a rebinding of a module attribute (a test's monkeypatch, a
-tracer's wrapper) takes effect.  _parse reads a plain request's arguments
+module level this file imports only sys, types, typing, errors and the
+handlers (`commands`, which adds pathlib), and each handler imports the
+layer functions it calls when it runs, so a request loads only the modules
+whose code it runs (`json` only under --json).  Every module a request
+compiles is kept small, since compiling from source, without bytecode,
+sets a cograph request's peak memory.  _parse reads a plain request's arguments
 straight from _COMMANDS: the command name, then --json, exact flags each
 with its value and one run of positionals.  Anything else (help, a usage
 error, an abbreviated flag, --flag=value, -k3, --) goes to argparse, which
@@ -35,11 +39,12 @@ is imported only then and prints its usual help and usage text.
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import FormatError, GfreeError, NotCographError, record
+from . import commands
+from .commands import Report
+from .errors import GfreeError, record
 
 if TYPE_CHECKING:
     import argparse
@@ -53,20 +58,6 @@ _BATCH = 1 << 16  # characters per stdout write of a report in pieces
 class CommandResult:
     exit_code: int
     stdout: str
-
-
-@record
-class Report:
-    """What a command found: the exit code, the JSON verdict, the text
-    output (a string or its pieces), and the JSON witness (omitted when
-    None, and called first when it is a function) and stats (None prints
-    as {})."""
-
-    exit_code: int
-    verdict: str
-    text: str | Iterable[str]
-    witness: object = None
-    stats: dict | None = None
 
 
 # An exit code and the text to print, as a string or its pieces.
@@ -91,9 +82,22 @@ def _render(args, report: Report, **fields) -> Output:
         **fields,
     }
     witness = report.witness() if callable(report.witness) else report.witness
+    if isinstance(witness, Iterator):  # a graph's text, in pieces
+        return report.exit_code, _json_pieces(json.dumps(doc, sort_keys=True, indent=2), witness)
     if witness is not None:
         doc["witness"] = witness
     return report.exit_code, json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _json_pieces(head: str, pieces: Iterator[str]) -> Iterator[str]:
+    """The document head, whose text ends in "\n}", with the string of the
+    pieces added as its last key, "witness", escaped a piece at a time."""
+    from json.encoder import encode_basestring_ascii
+
+    yield head[:-2] + ',\n  "witness": "'
+    for piece in pieces:
+        yield encode_basestring_ascii(piece)[1:-1]
+    yield '"\n}\n'
 
 
 def _error(args, exit_code: int, label: str, message: str) -> Output:
@@ -101,254 +105,9 @@ def _error(args, exit_code: int, label: str, message: str) -> Output:
     return _render(args, report, inputs={}, message=message)
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-
-
-def _load_graph(path: str):
-    from .textio import parse_graph
-
-    try:
-        with open(path, encoding="utf-8") as f:
-            return parse_graph(f)
-    except UnicodeDecodeError:
-        # The streamed decoder's offset is within its chunk: read the whole
-        # file for the error with the file's byte offset.
-        _read(path)
-        raise
-
-
-def _graph_stats(g) -> dict:
-    return {"vertices": g.n, "edges": g.m}
-
-
-def _cograph_command(args, print_tree: bool) -> Report:
-    from .cotree import decompose
-
-    g = _load_graph(args.graph)
-    try:
-        tree = decompose(g)
-    except NotCographError as exc:
-        witness = list(exc.witness)
-        return Report(1, "not a cograph", f"not a cograph; witness: {' '.join(witness)}\n", witness)
-    if not print_tree:
-        return Report(0, "cograph", "cograph\n", stats=_graph_stats(g))
-    return _tree_report("cograph", tree, _graph_stats(g))
-
-
-def _cmd_recognize(args) -> Report:
-    return _cograph_command(args, print_tree=False)
-
-
-def _cmd_decompose(args) -> Report:
-    return _cograph_command(args, print_tree=True)
-
-
-def _cmd_realize(args) -> Report:
-    from .cotree import realize
-    from .textio import parse_cotree
-
-    g = realize(parse_cotree(_read(args.cotree)))
-    return _graph_report("realized", g, _graph_stats(g))
-
-
-def _cmd_validate(args) -> Report:
-    from .cotree import _path_str, validate_cotree
-    from .textio import parse_cotree
-
-    report = validate_cotree(parse_cotree(_read(args.cotree), strict=False))
-    if report.ok:
-        return Report(0, "valid", "valid\n")
-    violations = [(_path_str(v.path), v.message) for v in report.violations]
-    return Report(
-        1,
-        "invalid",
-        "".join(f"violation at {path}: {message}\n" for path, message in violations),
-        [{"path": path, "message": message} for path, message in violations],
-        {"violations": len(violations)},
-    )
-
-
-def _cmd_iso(args) -> Report:
-    from .graphs import is_isomorphic
-
-    found = is_isomorphic(_load_graph(args.first), _load_graph(args.second))
-    if found is None:
-        return Report(1, "not isomorphic", "not isomorphic\n")
-    text = "".join(f"{u} -> {v}\n" for u, v in found.pairs)
-    return Report(0, "isomorphic", "isomorphic\n" + text, found.as_dict())
-
-
-def _cmd_embed(args) -> Report:
-    from .cotree import _path_str, decompose
-    from .embedding import label_meet_embed
-
-    g = _load_graph(args.pattern)
-    h = _load_graph(args.host)
-    emb = label_meet_embed(decompose(g), decompose(h))
-    if emb is None:
-        return Report(1, "does not embed", "does not embed\n")
-    return Report(0, "embeds", "embeds\n", lambda: [  # the text prints no witness
-        {"from": _path_str(sp), "to": _path_str(tp)} for sp, tp in emb.pairs
-    ])
-
-
-def _tree_report(verdict: str, tree, stats: dict | None = None) -> Report:
-    from .textio import format_cotree
-
-    text = format_cotree(tree)
-    return Report(0, verdict, text + "\n", text, stats)
-
-
-def _cmd_delete_leaf(args) -> Report:
-    from .embedding import delete_vertex_cotree
-    from .textio import parse_cotree
-
-    tree = parse_cotree(_read(args.cotree))
-    return _tree_report("deleted", delete_vertex_cotree(tree, args.leaf))
-
-
-def _module_command(args, strong: bool) -> Report:
-    from .cotree import least_module, least_strong_module
-
-    g = _load_graph(args.graph)
-    op = least_strong_module if strong else least_module
-    members = sorted(op(g, args.u, args.v).members)
-    return Report(0, "ok", " ".join(members) + "\n", members, {"size": len(members)})
-
-
-def _cmd_module(args) -> Report:
-    return _module_command(args, strong=False)
-
-
-def _cmd_strong_module(args) -> Report:
-    return _module_command(args, strong=True)
-
-
-def _cmd_interpret_tree(args) -> Report:
-    from .cotree import interpret_tree_from_graph
-
-    return _tree_report("ok", interpret_tree_from_graph(_load_graph(args.graph)))
-
-
-def _cmd_tree_lift(args) -> Report:
-    from .cotree import tree_lift
-    from .textio import parse_plain_tree
-
-    return _tree_report("ok", tree_lift(parse_plain_tree(_read(args.tree)), args.k))
-
-
-def _graph_report(verdict: str, g, stats: dict) -> Report:
-    """The graph's text as pieces, and as the witness under --json."""
-    from .textio import _graph_pieces, format_graph
-
-    return Report(0, verdict, _graph_pieces(g), lambda: format_graph(g), stats)
-
-
-def _cmd_antichain(args) -> Report:
-    from .embedding import antichain_graph, antichain_params
-
-    forbidden = _load_graph(args.forbidden)
-    g = antichain_graph(forbidden, args.indices)
-    complemented, m = antichain_params(forbidden)
-    return _graph_report("ok", g, dict(_graph_stats(g), complemented=complemented, m=m))
-
-
-def _cmd_types(args) -> Report:
-    from .typeslogic import ConstantedGraph, type_fragment
-
-    g = _load_graph(args.base)
-    forbidden = _load_graph(args.forbidden)
-    target = ConstantedGraph(g, g.vertices)
-    formulas = [phi.render() for phi in type_fragment(target, forbidden, args.k)]
-    return Report(0, "ok", "\n".join(formulas) + "\n", formulas, {"formulas": len(formulas)})
-
-
-def _cmd_encode(args) -> Report:
-    from .gadget import encode_phi, gadget_params
-
-    forbidden = _load_graph(args.forbidden)
-    h = _load_graph(args.input)
-    params = gadget_params(forbidden)
-    enc = encode_phi(h, params)
-    if args.sidecar:
-        lines = [f"hub {v} {hub}\n" for v, hub in enc.hub_of]
-        Path(args.sidecar).write_text("".join(lines), encoding="utf-8")
-    out = enc.deliverable
-    stats = dict(
-        _graph_stats(out),
-        complemented=params.complemented,
-        hub_cycle=params.hub_cycle,
-        edge_cycle=params.edge_cycle,
-        non_edge_cycle=params.non_edge_cycle,
-        path_len=params.path_len,
-    )
-    return _graph_report("encoded", out, stats)
-
-
-def _cmd_decode(args) -> Report:
-    from .gadget import decode_psi, gadget_params
-    from .graphs import complement
-
-    forbidden = _load_graph(args.forbidden)
-    e = _load_graph(args.encoded)
-    params = gadget_params(forbidden)
-    g = decode_psi(complement(e) if params.complemented else e, params)
-    return _graph_report("decoded", g, _graph_stats(g))
-
-
-def _cmd_roundtrip(args) -> Report:
-    from .gadget import decode_psi, encode_phi, gadget_params
-    from .graphs import is_isomorphic
-
-    forbidden = _load_graph(args.forbidden)
-    h = _load_graph(args.input)
-    params = gadget_params(forbidden)
-    enc = encode_phi(h, params)
-    found = is_isomorphic(h, decode_psi(enc.graph, params))
-    stats = dict(_graph_stats(enc.deliverable), complemented=params.complemented)
-    if found is None:
-        text = "decoded graph is NOT isomorphic to the input\n"
-        return Report(1, "decoded graph differs", text, stats=stats)
-    text = "decoded graph isomorphic to the input\n"
-    return Report(0, "roundtrip ok", text, found.as_dict(), stats)
-
-
-def _cmd_aut(args) -> Report:
-    from .automorphism import automorphisms
-
-    perms = automorphisms(_load_graph(args.graph))
-    lines = [f"count {len(perms)}\n"]
-    for p in perms:
-        cycles = "".join("(" + " ".join(c) + ")" for c in p.cycles())
-        lines.append((cycles or "id") + "\n")
-    return Report(0, "ok", "".join(lines), [p.as_dict() for p in perms], {"count": len(perms)})
-
-
-def _cmd_no_z3(args) -> Report:
-    from .automorphism import check_no_z3
-    from .textio import format_graph
-
-    report = check_no_z3(args.max_n)
-    stats = {
-        "examined": {str(n): count for n, count in report.examined},
-        "total": report.total,
-    }
-    if report.ok:
-        lines = [f"n={n}: {count} cograph(s) examined\n" for n, count in report.examined]
-        text = "".join(lines) + "no order-3 automorphism group found\n"
-        return Report(0, "no order-3 automorphism group", text, stats=stats)
-    witness = [format_graph(g) for g in report.offenders]
-    text = "\n".join(["order-3 automorphism group found on:"] + witness)
-    return Report(1, "offenders found", text, witness, stats)
-
-
 # Each subcommand: its help line and its arguments, in order.  An argument
 # is a positional name or a (flag, add_argument keywords) pair.  The handler
-# of "delete-leaf" is _cmd_delete_leaf, and so on.
+# of "delete-leaf" is commands._cmd_delete_leaf, and so on.
 _FORBIDDEN = ("--forbidden", {"required": True})
 _COMMANDS = {
     "recognize": ("test whether a graph is a cograph", ["graph"]),
@@ -399,7 +158,7 @@ _COMMANDS = {
 
 
 def _handler(name: str):
-    return globals()["_cmd_" + name.replace("-", "_")]
+    return getattr(commands, "_cmd_" + name.replace("-", "_"))
 
 
 def _split(arg) -> tuple[str, dict]:

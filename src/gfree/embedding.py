@@ -45,7 +45,7 @@ from .graphs import (
 )
 
 if TYPE_CHECKING:
-    from .cotree import CotreeNode
+    from .trees import CotreeNode
 
 __all__ = [
     "TreeEmbedding",
@@ -74,7 +74,7 @@ def _tree_rows(t: CotreeNode) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
     """t's nodes in preorder: their paths, their keys (label, then the
     subtree's numbers of leaves, 0-nodes and 1-nodes) and their relation
     rows.  A subtree is the interval of positions from its root to its end."""
-    from .cotree import iter_nodes
+    from .trees import iter_nodes
 
     nodes = list(iter_nodes(t))
     n = len(nodes)
@@ -152,7 +152,8 @@ def delete_vertex_cotree(t: CotreeNode, v: str) -> CotreeNode:
     becomes the root, is reparented (leaf), or has its children spliced
     into the grandparent (internal; labels agree by alternation).
     """
-    from .cotree import Inner, Leaf, ensure_valid, leaf_paths, normalize
+    from .cotree import ensure_valid, normalize
+    from .trees import Inner, Leaf, leaf_paths
 
     ensure_valid(t)
     paths = leaf_paths(t)

@@ -35,7 +35,8 @@ interpreter's recursion limit and a read holds the tree, not a list of its
 tokens.
 
 Only the graph format is needed at import: the tree functions import the
-cotree layer when they run, so graph I/O loads just `graphs`.
+tree values (`trees`) when they run, so graph I/O loads just `graphs`, and
+a tree is read and printed without the graph algorithms of `cotree`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import FormatError
 from .graphs import Graph, make_graph
 
 if TYPE_CHECKING:
-    from .cotree import CotreeNode, PlainTree
+    from .trees import CotreeNode, PlainTree
 
 __all__ = [
     "parse_graph",
@@ -213,7 +214,7 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     nodes with fewer than two children, duplicate leaf names, and labels
     other than 0/1, pointing at the offending token.
     """
-    from .cotree import Inner, Leaf
+    from .trees import Inner, Leaf
 
     tokens = _tokenize(text)
     stack: list[tuple[int, int, list, int]] = []  # line, col of "(", children, label
@@ -271,7 +272,7 @@ def _label(token: tuple[str, int, int] | None, strict: bool, parent: int | None)
 
 
 def format_cotree(t: CotreeNode) -> str:
-    from .cotree import _fold
+    from .trees import _fold
 
     def leaf(node) -> str:
         if not _LEAF_RE.fullmatch(node.name):  # it would not read back as one leaf
@@ -283,7 +284,7 @@ def format_cotree(t: CotreeNode) -> str:
 
 def parse_plain_tree(text: str) -> PlainTree:
     """Parse a nested-parentheses rooted tree, e.g. "(()(()))"."""
-    from .cotree import PlainTree
+    from .trees import PlainTree
 
     tokens = _tokenize(text)
     stack: list[tuple[int, int, list]] = []  # line, col of "(", children
@@ -303,6 +304,6 @@ def parse_plain_tree(text: str) -> PlainTree:
 
 
 def format_plain_tree(t: PlainTree) -> str:
-    from .cotree import _fold
+    from .trees import _fold
 
     return _fold(t, None, lambda node, kids: "(" + "".join(kids) + ")")

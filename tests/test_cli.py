@@ -114,7 +114,7 @@ def test_embed_text_output_builds_no_witness(tmp_path: Path, monkeypatch) -> Non
     def no_witness(path):
         raise AssertionError("the text of embed prints no witness")
 
-    monkeypatch.setattr("gfree.cotree._path_str", no_witness)
+    monkeypatch.setattr("gfree.trees._path_str", no_witness)
     small = _write(tmp_path, "p3.graph", P3_TEXT)
     big = _write(tmp_path, "c4.graph", C4_TEXT)
     res = run_command(["embed", small, big])
@@ -497,7 +497,7 @@ def test_unexpected_exception_is_exit_3_never_1(tmp_path: Path, monkeypatch) -> 
     def crash(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("gfree.cli._cmd_recognize", crash)
+    monkeypatch.setattr("gfree.commands._cmd_recognize", crash)
     k2 = _write(tmp_path, "k2.graph", K2_TEXT)
     res = run_command(["recognize", k2])
     assert (res.exit_code, res.stdout) == (3, "internal error: RuntimeError: boom\n")

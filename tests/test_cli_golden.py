@@ -140,19 +140,17 @@ def test_main_writes_the_golden_bytes_to_a_file_descriptor() -> None:
     assert json.loads(proc.stdout) == expected
 
 
-def test_only_json_formats_a_printed_graph_as_a_whole(tmp_path: Path, monkeypatch) -> None:
-    # The text streams the graph's pieces; the JSON witness is made by
-    # format_graph when the report is rendered.
+def test_a_printed_graph_is_never_formatted_as_a_whole(tmp_path: Path, monkeypatch) -> None:
+    # The text and the --json witness both stream the graph's pieces;
+    # neither calls format_graph, which joins the whole text.
     def broken(g):
         raise RuntimeError("boom")
 
     monkeypatch.setattr("gfree.textio.format_graph", broken)
-    text = next(c for c in CORPUS["cases"] if c["argv"] == ["realize", "t.tree"])
-    res = _run(text, tmp_path)
-    assert (res.exit_code, res.stdout) == (0, text["stdout"])
-    res = _run({"argv": ["realize", "t.tree", "--json"]}, tmp_path)
-    assert res.exit_code == 3
-    assert json.loads(res.stdout)["message"] == "RuntimeError: boom"
+    for argv in (["realize", "t.tree"], ["realize", "t.tree", "--json"]):
+        case = next(c for c in CORPUS["cases"] if c["argv"] == argv)
+        res = _run(case, tmp_path)
+        assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"]), argv
 
 
 def test_corpus_covers_every_subcommand_in_both_modes() -> None:

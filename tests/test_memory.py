@@ -72,13 +72,27 @@ def test_dense_graph_file_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> 
     assert dense_kib - small_kib < 1.5 * 1024, (dense_kib, small_kib)
 
 
-def test_printing_a_dense_graph_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> None:
+def _printing_a_dense_graph_adds_kib(tmp_path: Path, *options: str) -> tuple[int, int]:
+    """The peak RSS of printing K450 (about 1 MB of text) and of a 3-vertex
+    graph, with the given options."""
     big, small = tmp_path / "k450.tree", tmp_path / "small.tree"
     big.write_text("(1 " + " ".join(f"v{i}" for i in range(450)) + ")\n", encoding="utf-8")
     small.write_text("(1 a (0 b c))\n", encoding="utf-8")
     assert len(format_graph(gfree.realize(gfree.parse_cotree(big.read_text())))) > 950_000
     (big_code, big_kib), (small_code, small_kib) = _peak_rss_kib(
-        [["realize", str(big)], ["realize", str(small)]]
+        [["realize", str(big), *options], ["realize", str(small), *options]]
     )
     assert (big_code, small_code) == ("0", "0")
+    return big_kib, small_kib
+
+
+def test_printing_a_dense_graph_adds_little_to_a_requests_peak_rss(tmp_path: Path) -> None:
+    big_kib, small_kib = _printing_a_dense_graph_adds_kib(tmp_path)
+    assert big_kib - small_kib < 0.5 * 1024, (big_kib, small_kib)
+
+
+def test_printing_a_dense_graph_as_json_adds_little_to_a_requests_peak_rss(
+    tmp_path: Path,
+) -> None:
+    big_kib, small_kib = _printing_a_dense_graph_adds_kib(tmp_path, "--json")
     assert big_kib - small_kib < 0.5 * 1024, (big_kib, small_kib)

@@ -13,6 +13,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -42,34 +43,37 @@ LAYERS = {
     "gfree.census",
     "gfree.embedding",
     "gfree.search",
+    "gfree.trees",
 }
 
 # The exact gfree modules each subcommand loads (the CLI itself runs as
-# __main__, so gfree.cli is not among them).  Graph I/O needs only graphs;
-# a command loads cotree only when it builds, reads or prints a tree, and
-# search only when it searches: a cograph request never does, but one whose
-# input graph holds a P4 searches for its witness.
-GRAPH_IO = {"gfree", "gfree.errors", "gfree.graphs", "gfree.textio"}
-TREES = GRAPH_IO | {"gfree.cotree"}
+# __main__, so gfree.cli is not among them; its handlers are gfree.commands).
+# Graph I/O needs only graphs; a command loads trees only when it reads,
+# builds or prints a tree, cotree only when it runs an algorithm between
+# trees and graphs, and search only when it searches: a cograph request
+# never does, but one whose input graph holds a P4 searches for its witness.
+GRAPH_IO = {"gfree", "gfree.commands", "gfree.errors", "gfree.graphs", "gfree.textio"}
+TREES = GRAPH_IO | {"gfree.trees"}
+COTREE = TREES | {"gfree.cotree"}
 SEARCH = {"gfree.search"}
 LOADS = {
-    "recognize": TREES,
-    "decompose": TREES,
-    "realize": TREES,
-    "validate": TREES,
-    "module": TREES,
-    "strong-module": TREES,
-    "interpret-tree": TREES,
+    "recognize": COTREE,
+    "decompose": COTREE,
+    "realize": COTREE,
+    "validate": COTREE,
+    "module": COTREE,
+    "strong-module": COTREE,
+    "interpret-tree": COTREE,
     "tree-lift": TREES,
     "iso": GRAPH_IO | SEARCH,
-    "embed": TREES | SEARCH | {"gfree.embedding"},
-    "delete-leaf": TREES | {"gfree.embedding"},
+    "embed": COTREE | SEARCH | {"gfree.embedding"},
+    "delete-leaf": COTREE | {"gfree.embedding"},
     "antichain": GRAPH_IO | SEARCH | {"gfree.embedding"},
     "encode": GRAPH_IO | SEARCH | {"gfree.embedding", "gfree.gadget"},
     "decode": GRAPH_IO | SEARCH | {"gfree.embedding", "gfree.gadget"},
     "roundtrip": GRAPH_IO | SEARCH | {"gfree.embedding", "gfree.gadget"},
     "aut": GRAPH_IO | SEARCH | {"gfree.automorphism"},
-    "no-z3": TREES | SEARCH | {"gfree.automorphism", "gfree.census"},
+    "no-z3": COTREE | SEARCH | {"gfree.automorphism", "gfree.census"},
     "types": GRAPH_IO | SEARCH | {"gfree.typeslogic"},
 }
 
@@ -120,6 +124,8 @@ def _loaded(argv: list[str], cwd: Path) -> set[str]:
 
 def _check_loads(argv: list[str], cwd: Path) -> None:
     loaded = _loaded(argv, cwd)
+    # Importing it would compile and run the __main__ module a second time.
+    assert "gfree.cli" not in loaded, f"{argv[0]} imported gfree.cli besides running it"
     expected = LOADS[argv[0]] | (SEARCH if "p4.graph" in argv else set())
     assert {m for m in loaded if m.split(".")[0] == "gfree"} == expected
     assert not loaded & {"dataclasses", "argparse", "gettext"}
@@ -146,7 +152,32 @@ def test_no_request_loads_dataclasses(argv: list[str], tmp_path: Path) -> None:
 
 def test_every_module_is_a_layer_or_errors_or_cli() -> None:
     modules = {f"gfree.{info.name}" for info in pkgutil.iter_modules(gfree.__path__)}
-    assert modules == LAYERS | {"gfree.errors", "gfree.cli"}
+    assert modules == LAYERS | {"gfree.errors", "gfree.cli", "gfree.commands"}
+
+
+# Each request compiles the modules it loads from source (no bytecode is
+# read or written under PYTHONDONTWRITEBYTECODE=1), and on Python 3.11
+# compile() peaks at about 360 bytes traced per token (365-425 for the
+# modules here), comments and blank lines aside.  No cograph request's own
+# work goes past 0.67 MB traced, so the largest module such a request
+# compiles sets its peak RSS; each is kept at MAX_TOKENS or fewer, about
+# 0.8-0.9 MB.
+MAX_TOKENS = 2200
+
+
+def _tokens(module: str) -> int:
+    """The tokens of a gfree module's source, without comments and blank lines."""
+    name = module.partition(".")[2] or "__init__"
+    with open(SRC / "gfree" / f"{name}.py", encoding="utf-8") as f:
+        tokens = tokenize.generate_tokens(f.readline)
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+
+
+def test_no_module_a_cotree_side_request_compiles_is_large() -> None:
+    modules = {"gfree.cli"} | SEARCH | set().union(*(LOADS[argv[0]] for argv in COTREE_SIDE))
+    counts = {module: _tokens(module) for module in sorted(modules)}
+    large = {module: count for module, count in counts.items() if count > MAX_TOKENS}
+    assert not large, f"modules over {MAX_TOKENS} tokens: {large}"
 
 
 def test_every_listed_request_is_plain() -> None:
@@ -175,10 +206,8 @@ def test_bare_package_import_loads_no_submodule() -> None:
 EXPORTS = {
     "automorphism": "NoZ3Report Permutation automorphisms check_no_z3 order3_to_order2",
     "census": "cograph_classes cotree_shapes",
-    "cotree": "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation "
-    "canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph "
-    "leaf_names leaf_paths least_module least_strong_module meet_path normalize "
-    "plain_tree_code realize tree_lift validate_cotree",
+    "cotree": "canonical_code cograph_iso decompose ensure_valid interpret_tree_from_graph "
+    "least_module least_strong_module normalize realize validate_cotree",
     "embedding": "TreeEmbedding antichain_graph antichain_params cograph_induced_via_trees "
     "cycle_formula_holds delete_vertex_cotree label_meet_embed max_induced_cycle",
     "errors": "BadPartialError BadSizeError BaseNotFreeError DuplicateVertexError "
@@ -195,6 +224,8 @@ EXPORTS = {
     "search": "VertexMap",
     "textio": "format_cotree format_graph format_plain_tree parse_cotree parse_graph "
     "parse_plain_tree",
+    "trees": "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation "
+    "leaf_names leaf_paths meet_path plain_tree_code tree_lift",
     "typeslogic": "ConstantedGraph ExistentialFormula enumerate_extensions eval_existential "
     "phi_formula type_fragment",
 }

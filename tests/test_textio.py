@@ -32,7 +32,8 @@ from gfree import (
     path_graph,
     plain_tree_code,
 )
-from gfree.cli import _load_graph, run_command
+from gfree.cli import run_command
+from gfree.commands import _load_graph
 
 
 def test_parse_graph_basic() -> None:

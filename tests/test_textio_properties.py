@@ -27,7 +27,8 @@ from gfree import (
     parse_graph,
     parse_plain_tree,
 )
-from gfree.cli import _load_graph, run_command
+from gfree.cli import run_command
+from gfree.commands import _load_graph
 
 # names with a space cannot be written: both formatters must refuse them
 _NAMES = st.text(st.sampled_from("abcxyz019_.-é "), min_size=1, max_size=3)
