@@ -12,6 +12,7 @@ order3_to_order2 the cotree layer when they run.
 from __future__ import annotations
 
 from itertools import islice
+from math import lcm
 
 from .errors import BadSizeError, NotIsomorphismError, NotOrderThreeError, TooLargeError, record
 from .graphs import Graph
@@ -40,12 +41,7 @@ class Permutation(VertexMap):
         return all(v == w for v, w in self.pairs)
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity:
-            p = p.after(self)
-            n += 1
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """Nontrivial cycles, each starting at its smallest element."""
@@ -86,7 +82,7 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     The involution applies f on A, its inverse on B, and fixes C and D.
     """
     from .cotree import decompose
-    from .trees import leaf_paths, meet_path
+    from .trees import leaf_names, leaf_paths, meet_path, node_at
 
     if not _is_isomorphism(g, g, f.as_dict()):
         raise NotIsomorphismError("the given map is not an automorphism")
@@ -102,8 +98,7 @@ def order3_to_order2(g: Graph, f: Permutation) -> Permutation:
     d = len(m)
 
     def side(anchor: str) -> set[str]:
-        head = paths[anchor][: d + 1]
-        return {u for u in g.vertices if paths[u][: d + 1] == head}
+        return set(leaf_names(node_at(tree, paths[anchor][: d + 1])))
 
     part_a, part_b = side(a), side(b)
     if {f[u] for u in part_a} != part_b:

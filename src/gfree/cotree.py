@@ -4,9 +4,7 @@ decompose builds the decomposition tree of a cograph, or finds an induced
 P4; realize builds the graph a tree realizes; validate_cotree reports a
 tree's structural faults; the module queries and interpret_tree_from_graph
 read a cograph's modules off its adjacency rows.  The tree values, their
-traversals, canonical order and the plain-tree lift live in `trees`, and
-are re-exported here, so every name of this module's __all__ imports from
-`gfree.cotree`.
+traversals, canonical order and the plain-tree lift live in `trees`.
 """
 
 from __future__ import annotations
@@ -34,36 +32,18 @@ from .trees import (
     Inner,
     Leaf,
     ModuleSet,
-    PlainTree,
     ValidationReport,
     Violation,
+    _assemble,
     _canon_inner,
     _canon_leaf,
     _canonical,
     _fold,
     _path_str,
     iter_nodes,
-    leaf_names,
-    leaf_paths,
-    meet_path,
-    node_at,
-    plain_tree_code,
-    tree_lift,
 )
 
 __all__ = [
-    "Leaf",
-    "Inner",
-    "CotreeNode",
-    "PlainTree",
-    "Violation",
-    "ValidationReport",
-    "ModuleSet",
-    "iter_nodes",
-    "node_at",
-    "leaf_names",
-    "leaf_paths",
-    "meet_path",
     "normalize",
     "validate_cotree",
     "ensure_valid",
@@ -74,8 +54,6 @@ __all__ = [
     "least_module",
     "least_strong_module",
     "interpret_tree_from_graph",
-    "tree_lift",
-    "plain_tree_code",
 ]
 
 
@@ -162,12 +140,12 @@ def decompose(g: Graph) -> CotreeNode:
     rows = g.rows
     full = (1 << g.n) - 1
     co_rows = complement(g).rows
-    preorder: list[tuple[int, int, int]] = []  # (mask, label or 2, child count)
+    preorder: list[str | tuple[int, int]] = []  # leaf name or (label, child count)
     stack = [full]
     while stack:
         mask = stack.pop()
         if not mask & (mask - 1):
-            preorder.append((mask, 2, 0))
+            preorder.append(names[mask.bit_length() - 1])
             continue
         label, parts = 0, _components(rows, mask)
         if len(parts) == 1:
@@ -176,20 +154,12 @@ def decompose(g: Graph) -> CotreeNode:
             sub = induced_subgraph(g, [names[i] for i in _bits(mask)])
             p4 = path_graph(4)
             emb = find_induced_embedding(p4, sub)
-            if emb is None:  # pragma: no cover - impossible for connected co-connected graphs
-                raise NotCographError("not a cograph; no P4 witness found", ())
+            if emb is None:
+                raise RuntimeError("a connected and co-connected part has no induced P4")
             raise NotCographError("not a cograph", tuple(emb[v] for v in p4.vertices))
-        preorder.append((mask, label, len(parts)))
+        preorder.append((label, len(parts)))
         stack.extend(reversed(parts))
-    built: list[_Canon] = []  # finished subtrees, the next sibling on top
-    for mask, label, count in reversed(preorder):
-        if label == 2:
-            built.append(_canon_leaf(Leaf(names[mask.bit_length() - 1])))
-        else:
-            kids = built[-count:]
-            del built[-count:]
-            built.append(_canon_inner(label, kids[::-1]))
-    return built[0][0]
+    return _assemble(preorder)
 
 
 def realize(t: CotreeNode) -> Graph:
@@ -303,8 +273,8 @@ def interpret_tree_from_graph(g: Graph) -> CotreeNode:
         mods = [_module_mask(rows, i, w) for w in range(n)]
         for j in range(i + 1, n):
             labels.setdefault(_strong_mask(mods, j), rows[i] >> j & 1)
-    if n > 1 and (1 << n) - 1 not in labels:  # pragma: no cover - the root is always generated
-        raise NotCographError("pair modules do not cover the vertex set", ())
+    if n > 1 and (1 << n) - 1 not in labels:
+        raise RuntimeError("pair modules do not cover the vertex set")
     top = [_canon_leaf(Leaf(name)) for name in g.vertices]  # largest node over each position
     for mask in sorted(labels, key=int.bit_count):
         # children are disjoint, so their least leaves tell them apart

@@ -176,10 +176,12 @@ def _pieces(g: Graph) -> Iterator[str]:
     for i, row in enumerate(g.rows):
         above = row >> i + 1
         if above:
-            # selectors[k] is 1 when vertex i + 1 + k is a neighbour
+            # selectors[k] is 1 when vertex i + 1 + k is a neighbour; slicing
+            # only their span costs no more than building them
             selectors = bin(above)[:1:-1].encode().translate(_BIT_SELECTORS)
+            span = names[i + 1 : i + 1 + len(selectors)]
             sep = "\n" + names[i] + " "
-            yield names[i] + " " + sep.join(compress(names[i + 1 :], selectors)) + "\n"
+            yield names[i] + " " + sep.join(compress(span, selectors)) + "\n"
 
 
 _LEAF_RE = re.compile(r"[^\s()]+")

@@ -15,12 +15,12 @@ reproducible.
 
 This module needs no graph: reading, printing and lifting trees load it
 alone, and the algorithms between trees and graphs (decompose, realize,
-validation, module queries) live in `cotree`, which re-exports these names.
+validation, module queries) live in `cotree`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .errors import BadSizeError, record
 
@@ -175,6 +175,21 @@ def _canonical(t: CotreeNode, leaf: Callable[[Leaf], _Canon] = _canon_leaf) -> _
     return _fold(t, leaf, lambda node, kids: _canon_inner(node.label, kids))
 
 
+def _assemble(preorder: Sequence[str | tuple[int, int]]) -> CotreeNode:
+    """The canonical tree whose nodes, in preorder, are the given entries:
+    a leaf name, or the (label, child count) of an internal node."""
+    built: list[_Canon] = []  # finished subtrees, the next sibling on top
+    for entry in reversed(preorder):
+        if isinstance(entry, str):
+            built.append(_canon_leaf(Leaf(entry)))
+        else:
+            label, count = entry
+            kids = built[-count:]
+            del built[-count:]
+            built.append(_canon_inner(label, kids))
+    return built[0][0]
+
+
 def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
     """Turn a plain rooted tree into a cotree by adding k fresh leaves per node.
 
@@ -184,20 +199,16 @@ def tree_lift(t: PlainTree, k: int = 2) -> CotreeNode:
     """
     if k < 2:
         raise BadSizeError(f"tree lift needs k >= 2, got {k}")
-    preorder: list[tuple[PlainTree, int]] = []  # (node, depth)
-    stack = [(t, 0)]
+    preorder: list[str | tuple[int, int]] = []  # each node's new leaves before its children
+    stack = [(t, 0)]  # (node, depth)
+    i = 0
     while stack:
         node, depth = stack.pop()
-        preorder.append((node, depth))
+        preorder.append((depth % 2, k + len(node.children)))
+        preorder.extend(f"g{j}" for j in range(k * i, k * i + k))
+        i += 1
         stack.extend((c, depth + 1) for c in reversed(node.children))
-    built: list[_Canon] = []  # finished subtrees; _canon_inner orders siblings
-    for i in range(len(preorder) - 1, -1, -1):
-        node, depth = preorder[i]
-        first = len(built) - len(node.children)
-        kids = [_canon_leaf(Leaf(f"g{k * i + j}")) for j in range(k)] + built[first:]
-        del built[first:]
-        built.append(_canon_inner(depth % 2, kids))
-    return built[0][0]
+    return _assemble(preorder)
 
 
 def plain_tree_code(t: PlainTree) -> bytes:

@@ -75,6 +75,17 @@ def test_permutation_algebra() -> None:
     assert g.order() == 2
 
 
+def test_order_is_the_least_power_that_is_the_identity() -> None:
+    points = "abcdef"
+    identity = Permutation.identity(points)
+    for images in permutations(points):
+        f = Permutation.from_dict(dict(zip(points, images)))
+        power, r = f, 1
+        while power != identity:
+            power, r = power.after(f), r + 1
+        assert f.order() == r, images
+
+
 def test_automorphism_counts() -> None:
     assert len(automorphisms(cycle_graph(3))) == 6
     assert len(automorphisms(path_graph(3))) == 2

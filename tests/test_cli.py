@@ -507,6 +507,24 @@ def test_unexpected_exception_is_exit_3_never_1(tmp_path: Path, monkeypatch) -> 
     assert (payload["verdict"], payload["message"]) == ("error", "RuntimeError: boom")
 
 
+def test_a_prime_part_without_a_p4_is_exit_3_never_1(tmp_path: Path, monkeypatch) -> None:
+    monkeypatch.setattr("gfree.cotree.find_induced_embedding", lambda pattern, host: None)
+    res = run_command(["recognize", _write(tmp_path, "p4.graph", P4_TEXT)])
+    assert (res.exit_code, res.stdout) == (
+        3,
+        "internal error: RuntimeError: a connected and co-connected part has no induced P4\n",
+    )
+
+
+def test_pair_modules_missing_the_root_is_exit_3(tmp_path: Path, monkeypatch) -> None:
+    monkeypatch.setattr("gfree.cotree._strong_mask", lambda mods, j: 0)
+    res = run_command(["interpret-tree", _write(tmp_path, "p3.graph", P3_TEXT)])
+    assert (res.exit_code, res.stdout) == (
+        3,
+        "internal error: RuntimeError: pair modules do not cover the vertex set\n",
+    )
+
+
 # Argument vectors that end in argparse's own output: help, usage errors.
 PARSER_EXITS = [["--help"], [], ["nope"]] + [
     argv for name in _COMMANDS for argv in ([name, "--help"], [name], [name, "--bogus", "x"])

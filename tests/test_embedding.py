@@ -36,8 +36,8 @@ from gfree import (
     path_graph,
     complement,
 )
-from gfree.cotree import Inner, iter_nodes, meet_path
 from gfree.embedding import TreeEmbedding
+from gfree.trees import Inner, iter_nodes, meet_path
 
 P3 = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K3_PLUS_K1 = make_graph("abcd", [("a", "b"), ("b", "c"), ("a", "c")])

@@ -34,8 +34,8 @@ from gfree import (
     realize,
     relabel,
 )
-from gfree.cotree import node_at
 from gfree.textio import format_graph
+from gfree.trees import node_at
 
 
 def _first_embedding_oracle(

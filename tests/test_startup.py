@@ -9,6 +9,8 @@ report on stderr.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -153,6 +155,17 @@ def test_no_request_loads_dataclasses(argv: list[str], tmp_path: Path) -> None:
 def test_every_module_is_a_layer_or_errors_or_cli() -> None:
     modules = {f"gfree.{info.name}" for info in pkgutil.iter_modules(gfree.__path__)}
     assert modules == LAYERS | {"gfree.errors", "gfree.cli", "gfree.commands"}
+
+
+def test_each_listed_function_and_class_has_one_import_path() -> None:
+    # A module lists in __all__ only what it defines; the package alone
+    # re-exports.  Type aliases such as typeslogic.Term are neither.
+    for info in pkgutil.iter_modules(gfree.__path__):
+        module = importlib.import_module(f"gfree.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
 
 
 # Each request compiles the modules it loads from source (no bytecode is

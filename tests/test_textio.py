@@ -34,6 +34,8 @@ from gfree import (
 )
 from gfree.cli import run_command
 from gfree.commands import _load_graph
+from gfree.graphs import Graph
+from gfree.textio import _graph_pieces
 
 
 def test_parse_graph_basic() -> None:
@@ -52,6 +54,27 @@ def test_graph_roundtrip() -> None:
 def test_format_graph_shape() -> None:
     g = make_graph(["a", "b"], [("a", "b")])
     assert format_graph(g) == "2 1\na\nb\na b\n"
+
+
+class _CountingNames(tuple):
+    """A vertex tuple that counts the names its slices copy."""
+
+    copied = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.copied += len(item)
+        return item
+
+
+def test_printing_a_path_copies_a_linear_number_of_names() -> None:
+    n = 2000
+    g = path_graph(n)
+    names = _CountingNames(g.vertices)
+    text = "".join(_graph_pieces(Graph(names, g.rows)))
+    assert names.copied < 2 * n  # slicing each row's tail copies about n * n / 2
+    assert text == format_graph(g)
 
 
 def test_format_graph_refuses_a_name_ending_in_newline() -> None:
