@@ -34,20 +34,16 @@ _EXPORTS = {
         " NotIsomorphismError NotOrderThreeError SameVertexError SelfLoopError"
         " TooLargeError UnknownConstantError UnknownEndpointError UnknownVertexError"
     ),
-    "gadget": (
-        "EncodedGraph GadgetParams decode_psi encode_phi gadget_params"
-        " natural_iso_lambda transport_iso_phi transport_iso_psi"
-    ),
+    "gadget": "GadgetParams decode_psi encode_phi gadget_params",
     "graphs": (
-        "Graph combine complement connected_components cycle_graph"
-        " find_induced_embedding induced_subgraph is_free is_isomorphic"
-        " labeled_chain_sum make_graph path_graph relabel"
+        "Graph complement connected_components cycle_graph find_induced_embedding"
+        " induced_subgraph is_free is_isomorphic make_graph path_graph"
     ),
     "search": "VertexMap",
-    "textio": (
-        "format_cotree format_graph format_plain_tree parse_cotree parse_graph"
-        " parse_plain_tree"
-    ),
+    "sums": "combine labeled_chain_sum relabel",
+    "textio": "format_cotree format_graph parse_cotree parse_graph",
+    "transport": "EncodedGraph natural_iso_lambda transport_iso_phi transport_iso_psi",
+    "treetext": "format_plain_tree parse_plain_tree",
     "trees": (
         "CotreeNode Inner Leaf ModuleSet PlainTree ValidationReport Violation"
         " leaf_names leaf_paths meet_path plain_tree_code tree_lift"

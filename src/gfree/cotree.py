@@ -3,7 +3,8 @@
 decompose builds the decomposition tree of a cograph, or finds an induced
 P4; realize builds the graph a tree realizes; validate_cotree reports a
 tree's structural faults; the module queries and interpret_tree_from_graph
-read a cograph's modules off its adjacency rows.  The tree values, their
+read a cograph's modules off its adjacency rows, as the masks of
+`pairmodules`.  The tree values, their
 traversals, canonical order and the plain-tree lift live in `trees`.
 """
 
@@ -15,8 +16,6 @@ from .errors import (
     EmptyGraphError,
     InvalidCotreeError,
     NotCographError,
-    SameVertexError,
-    UnknownVertexError,
 )
 from .graphs import (
     Graph,
@@ -193,39 +192,6 @@ def cograph_iso(g: Graph, h: Graph) -> bool:
     return canonical_code(decompose(g)) == canonical_code(decompose(h))
 
 
-def _pair_guard(g: Graph, u: str, v: str) -> None:
-    for x in (u, v):
-        if x not in g.index:
-            raise UnknownVertexError(f"unknown vertex: {x!r}")
-    if u == v:
-        raise SameVertexError(f"need two distinct vertices, got {u!r} twice")
-
-
-def _module_mask(rows: tuple[int, ...], i: int, j: int) -> int:
-    """Mask of the least module of positions i and j in a cograph: the pair,
-    every w that splits it, and every w that splits i or j from such a w."""
-    pair = 1 << i | 1 << j
-    step1 = (rows[i] ^ rows[j]) & ~pair
-    members = pair | step1
-    for w in _bits(step1):
-        members |= (rows[i] ^ rows[w]) | (rows[j] ^ rows[w])
-    return members
-
-
-def _strong_mask(mods: list[int], j: int) -> int:
-    """Least strong module of positions i and j in a cograph, from mods[w],
-    the least module of i and w: mods[j] and every w whose mods[w] lacks j."""
-    members = mods[j]
-    for w, mod in enumerate(mods):
-        if not mod >> j & 1:
-            members |= 1 << w
-    return members
-
-
-def _members(g: Graph, mask: int) -> frozenset[str]:
-    return frozenset(g.vertices[i] for i in _bits(mask))
-
-
 def least_module(g: Graph, u: str, v: str) -> ModuleSet:
     """Least module containing u and v, via the two-step witness closure.
 
@@ -235,6 +201,8 @@ def least_module(g: Graph, u: str, v: str) -> ModuleSet:
     symmetric differences of adjacency masks, with w distinguishing a from
     b exactly when w is in adj(a) xor adj(b).
     """
+    from .pairmodules import _members, _module_mask, _pair_guard
+
     _pair_guard(g, u, v)
     decompose(g)  # raises NotCograph on a P4
     return ModuleSet(_members(g, _module_mask(g.rows, g.index[u], g.index[v])), "least-module")
@@ -246,6 +214,8 @@ def least_strong_module(g: Graph, u: str, v: str) -> ModuleSet:
     w belongs iff w is in the least module of {u,v}, or v falls outside the
     least module of {u,w}.
     """
+    from .pairmodules import _members, _module_mask, _pair_guard, _strong_mask
+
     _pair_guard(g, u, v)
     decompose(g)  # raises NotCograph on a P4
     i, j = g.index[u], g.index[v]
@@ -264,6 +234,8 @@ def interpret_tree_from_graph(g: Graph) -> CotreeNode:
     so in ascending size a mask's children are the largest nodes built so
     far over its positions.  Output is canonical, equal to decompose's.
     """
+    from .pairmodules import _module_mask, _strong_mask
+
     if g.n == 0:
         raise EmptyGraphError("cannot interpret the empty graph")
     decompose(g)  # raises NotCograph on a P4

@@ -40,7 +40,6 @@ from .graphs import (
     complement,
     cycle_graph,
     find_induced_embedding,
-    labeled_chain_sum,
     path_graph,
 )
 
@@ -209,6 +208,8 @@ def antichain_graph(forbidden: Graph, indices) -> Graph:
     Plain side: disjoint union of the cycles C_{m+1+i}.  Complement side:
     join of the cycle complements.
     """
+    from .sums import labeled_chain_sum
+
     idx = sorted(set(indices))
     if not idx:
         raise EmptyIndexSetError("index set must be nonempty")

@@ -148,7 +148,8 @@ class InvalidCotreeError(GfreeError):
 
 
 class TooLargeError(GfreeError):
-    """Input exceeds the documented size bound of a brute-force routine."""
+    """Input exceeds the documented size bound of a brute-force routine or
+    of an output built in memory."""
 
 
 class LastLeafError(GfreeError):

@@ -8,29 +8,29 @@ cycle of the working forbidden graph) make decoding purely syntactic: find
 the anchors of degree > 2, classify them by their cycle length, read the
 edge relation off the path markers.  When only the complement of the
 forbidden graph has a cycle, the deliverable is the complement of the
-construction and decoding runs on the pre-complement form.
+construction and decoding runs on the pre-complement form.  The
+encoding's provenance (EncodedGraph) and the isomorphism transports are in
+`transport`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .embedding import antichain_params
-from .errors import MalformedEncodingError, NotIsomorphismError, record
-from .graphs import Graph, _bits, _components, complement, make_graph
-from .search import VertexMap, _is_isomorphism
+from .errors import MalformedEncodingError, TooLargeError, record
+from .graphs import Graph, _bits, _components, make_graph
 
-__all__ = [
-    "GadgetParams",
-    "EncodedGraph",
-    "gadget_params",
-    "encode_phi",
-    "decode_psi",
-    "transport_iso_phi",
-    "transport_iso_psi",
-    "natural_iso_lambda",
-]
+if TYPE_CHECKING:
+    from .transport import EncodedGraph
+
+__all__ = ["GadgetParams", "gadget_params", "encode_phi", "decode_psi"]
+
+# The most vertices encode_phi builds.  A graph's rows take about V^2/16
+# bytes whatever its edge count: `gfree encode` of a 74,049-vertex encoding
+# peaked at 415 MB RSS and of a 101,439-vertex one at 757 MB (Python 3.11).
+_MAX_ENCODED = 100_000
 
 
 @record
@@ -52,32 +52,6 @@ class GadgetParams:
         return self.n + 3
 
 
-@record
-class EncodedGraph:
-    """Pre-complement encoding plus construction provenance.
-
-    graph is always the uncomplemented construction; deliverable applies
-    the final complement when the parameters call for one.  The provenance
-    tuples record creation order so isomorphism transports can be built
-    index-wise.
-    """
-
-    graph: Graph
-    params: GadgetParams
-    hub_cycles: tuple[tuple[str, tuple[str, ...]], ...]  # (original vertex, cycle from its hub)
-    path_internals: tuple[tuple[str, str, tuple[str, ...]], ...]
-    marker_cycles: tuple[tuple[str, tuple[str, ...]], ...]
-
-    @property
-    def hub_of(self) -> tuple[tuple[str, str], ...]:
-        """(original vertex, hub) in input order."""
-        return tuple([(v, cyc[0]) for v, cyc in self.hub_cycles])
-
-    @cached_property
-    def deliverable(self) -> Graph:
-        return complement(self.graph) if self.params.complemented else self.graph
-
-
 def gadget_params(forbidden: Graph) -> GadgetParams:
     """Cycle lengths and path length for a forbidden graph not inside P4."""
     complemented, n = antichain_params(forbidden)
@@ -85,7 +59,21 @@ def gadget_params(forbidden: Graph) -> GadgetParams:
 
 
 def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
-    """Encode any finite graph; vertices are minted as g0, g1, ..."""
+    """Encode any finite graph; vertices are minted as g0, g1, ...
+
+    An encoding of more than _MAX_ENCODED vertices raises TooLargeError
+    before anything is built.
+    """
+    from .transport import EncodedGraph
+
+    # a hub cycle per vertex; per pair, a path whose internal vertices each
+    # sit on the marker cycle of an edge or a non-edge
+    non_edges = h.n * (h.n - 1) // 2 - h.m
+    markers = h.m * params.edge_cycle + non_edges * params.non_edge_cycle
+    size = h.n * params.hub_cycle + params.path_len * markers
+    if size > _MAX_ENCODED:
+        raise TooLargeError(f"encodings are limited to {_MAX_ENCODED} vertices, got {size}")
+
     counter = itertools.count()
 
     def fresh() -> str:
@@ -136,32 +124,6 @@ def encode_phi(h: Graph, params: GadgetParams) -> EncodedGraph:
     )
 
 
-def _marker_cycle_of(e: Graph, degree: list[int], anchor: int) -> int:
-    """Mask of the unique degree-2 cycle through an anchor position, or
-    MalformedEncoding.  Neighbours are walked in declared order."""
-    rows, names = e.rows, e.vertices
-    cycles: set[int] = set()
-    for x in _bits(rows[anchor]):
-        if degree[x] != 2:
-            continue
-        prev, cur = anchor, x
-        chain = 1 << anchor | 1 << x
-        while degree[cur] == 2:
-            prev, cur = cur, (rows[cur] ^ 1 << prev).bit_length() - 1
-            chain |= 1 << cur
-        if cur != anchor:
-            raise MalformedEncodingError(
-                f"degree-2 chain from {names[anchor]!r} ends at {names[cur]!r}, "
-                "not a marker cycle"
-            )
-        cycles.add(chain)
-    if len(cycles) != 1:
-        raise MalformedEncodingError(
-            f"anchor {names[anchor]!r} lies on {len(cycles)} marker cycles, needs exactly 1"
-        )
-    return cycles.pop()
-
-
 def decode_psi(e: Graph, params: GadgetParams) -> Graph:
     """Recover the original graph from a pre-complement encoding.
 
@@ -169,6 +131,8 @@ def decode_psi(e: Graph, params: GadgetParams) -> Graph:
     The walks run on the rows, in declared order, so the first defect found
     in a malformed encoding does not depend on hashing.
     """
+    from .transport import _marker_cycle_of
+
     if e.n == 0:
         return make_graph([], [])
     rows, names = e.rows, e.vertices
@@ -256,66 +220,3 @@ def decode_psi(e: Graph, params: GadgetParams) -> Graph:
 
     edges = [(names[a], names[b]) for (a, b), flag in pair_kind.items() if flag == 1]
     return make_graph([names[h] for h in hubs], edges)
-
-
-def _ensure_iso(g: Graph, h: Graph, f: VertexMap, what: str) -> None:
-    if not _is_isomorphism(g, h, f.as_dict()):
-        raise NotIsomorphismError(f"{what} is not an isomorphism")
-
-
-def transport_iso_phi(
-    source: Graph, target: Graph, f: VertexMap, params: GadgetParams
-) -> VertexMap:
-    """Push an isomorphism source -> target through the encoding.
-
-    Hubs follow f; cycles and paths are matched index-wise in construction
-    order, reversing a path when f flips its endpoints' stored order.
-    """
-    _ensure_iso(source, target, f, "the given map")
-    e1 = encode_phi(source, params)
-    e2 = encode_phi(target, params)
-    cyc2 = dict(e2.hub_cycles)
-    paths2 = {frozenset((v, w)): (v, w, ints) for v, w, ints in e2.path_internals}
-    markers1 = dict(e1.marker_cycles)
-    markers2 = dict(e2.marker_cycles)
-
-    mapping: dict[str, str] = {}
-    for v, cyc in e1.hub_cycles:
-        image = cyc2[f[v]]
-        mapping.update(zip(cyc, image))
-    for v, w, ints in e1.path_internals:
-        v2, w2, ints2 = paths2[frozenset((f[v], f[w]))]
-        if v2 != f[v]:
-            ints2 = tuple(reversed(ints2))
-        for p, q in zip(ints, ints2):
-            mapping.update(zip(markers1[p], markers2[q]))
-
-    out = VertexMap.from_dict(mapping)
-    _ensure_iso(e1.graph, e2.graph, out, "the transported map")
-    return out
-
-
-def transport_iso_psi(
-    e1: Graph, e2: Graph, f: VertexMap, params: GadgetParams
-) -> VertexMap:
-    """Restrict an isomorphism of encodings to the decoded graphs."""
-    _ensure_iso(e1, e2, f, "the given map")
-    d1 = decode_psi(e1, params)
-    d2 = decode_psi(e2, params)
-    mapping: dict[str, str] = {}
-    for hub in d1.vertices:
-        image = f[hub]
-        if image not in d2.index:
-            raise NotIsomorphismError(f"hub {hub!r} maps to non-hub {image!r}")
-        mapping[hub] = image
-    out = VertexMap.from_dict(mapping)
-    _ensure_iso(d1, d2, out, "the restricted map")
-    return out
-
-
-def natural_iso_lambda(h: Graph, params: GadgetParams) -> VertexMap:
-    """Canonical isomorphism from h onto decode_psi(encode_phi(h))."""
-    enc = encode_phi(h, params)
-    out = VertexMap.from_dict(dict(enc.hub_of))
-    _ensure_iso(h, decode_psi(enc.graph, params), out, "the vertex-to-hub map")
-    return out

@@ -12,7 +12,8 @@ outside; textio.parse_graph ORs the edges of a well-formed file into rows
 itself and calls make_graph only to raise on a faulty one; every other
 operation builds rows from rows.  The edge set (pairs of names) is derived
 from the rows on demand, and each graph caches one vertex -> position dict.
-Connected components and the complement are read off the same rows.
+Connected components and the complement are read off the same rows;
+disjoint unions, joins, chain sums and renaming are in `sums`.
 Degrees come from int.bit_count, which needs Python 3.10 or newer.
 
 find_induced_embedding, is_free and is_isomorphic run the search engine of
@@ -29,7 +30,6 @@ from .errors import (
     BadSizeError,
     DuplicateVertexError,
     EmptyGraphError,
-    LengthMismatchError,
     SelfLoopError,
     UnknownEndpointError,
     record,
@@ -42,12 +42,9 @@ __all__ = [
     "Graph",
     "make_graph",
     "complement",
-    "combine",
-    "labeled_chain_sum",
     "path_graph",
     "cycle_graph",
     "induced_subgraph",
-    "relabel",
     "connected_components",
     "find_induced_embedding",
     "is_free",
@@ -137,11 +134,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.vertices, tuple(full ^ row ^ 1 << i for i, row in enumerate(g.rows)))
 
 
-def relabel(g: Graph, mapping: Mapping[str, str]) -> Graph:
-    """Rename vertices through an injective total mapping."""
-    return Graph(tuple(_positions(mapping[v] for v in g.vertices)), g.rows)
-
-
 def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     """Induced subgraph on the given vertices, in declared order."""
     index = g.index
@@ -156,55 +148,6 @@ def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     new = {i: 1 << k for k, i in enumerate(kept)}
     rows = tuple(sum(new[j] for j in _bits(g.rows[i] & mask)) for i in kept)
     return Graph(tuple(g.vertices[i] for i in kept), rows)
-
-
-def _disjointify(parts: Sequence[Graph], prefixes: Sequence[str]) -> list[Graph]:
-    """Prefix vertex names only when some name occurs in two parts."""
-    total = sum(p.n for p in parts)
-    distinct = len({v for p in parts for v in p.vertices})
-    if distinct == total:
-        return list(parts)
-    return [
-        relabel(p, {v: f"{pre}{v}" for v in p.vertices})
-        for p, pre in zip(parts, prefixes)
-    ]
-
-
-def combine(g: Graph, h: Graph, mode: str) -> Graph:
-    """Disjoint union (mode "disjoint") or join (mode "join") of two graphs.
-
-    Name collisions are resolved deterministically by prefixing "a." / "b.".
-    """
-    if mode not in ("disjoint", "join"):
-        raise ValueError(f"combine mode must be 'disjoint' or 'join', got {mode!r}")
-    parts = _disjointify([g, h], ["a.", "b."])
-    return labeled_chain_sum(parts, [1 if mode == "join" else 0, 0])
-
-
-def labeled_chain_sum(parts: Sequence[Graph], labels: Sequence[int]) -> Graph:
-    """Union of parts; all cross edges part_i x part_j (i < j) iff labels[i] = 1.
-
-    Name collisions across parts are resolved by prefixing "p<i>."
-    """
-    if len(parts) != len(labels):
-        raise LengthMismatchError(
-            f"{len(parts)} parts but {len(labels)} labels"
-        )
-    for lab in labels:
-        if lab not in (0, 1):
-            raise ValueError(f"labels must be 0 or 1, got {lab!r}")
-    disjoint = _disjointify(parts, [f"p{i}." for i in range(len(parts))])
-    names = tuple(v for p in disjoint for v in p.vertices)
-    total = (1 << len(names)) - 1
-    rows: list[int] = []
-    joined = 0  # the earlier parts whose label joins them to every later part
-    for p, lab in zip(disjoint, labels):
-        start, end = len(rows), len(rows) + p.n
-        later = total >> end << end if lab else 0
-        rows.extend(row << start | joined | later for row in p.rows)
-        if lab:
-            joined |= (1 << end) - (1 << start)
-    return Graph(names, tuple(rows))
 
 
 def path_graph(n: int) -> Graph:

@@ -1,4 +1,4 @@
-"""Text formats: graphs, cotree s-expressions, plain rooted trees.
+"""Text formats: graphs and cotree s-expressions.
 
 Graph files: first line "n m", then n vertex-name lines, then m lines
 "u v".  UTF-8 with LF endings; names are whitespace-free tokens, and any
@@ -26,17 +26,13 @@ Cotree files: one s-expression, internal node "(<label> child ...)" with
 label 0 or 1, leaf = vertex name.  The strict parser rejects structural
 violations (alternation, arity, duplicate leaves) with line and column;
 the lax parser builds the tree anyway so a validator can report them.
-
-Plain tree files: nested parentheses, one node per "()" pair.
-
-Each tree format is read by one loop over a generator of tokens, with an
-explicit stack of open nodes, so nesting depth is not bounded by the
-interpreter's recursion limit and a read holds the tree, not a list of its
-tokens.
+The parser reads tokens with the tree reader of `treetext`, which also
+holds the plain rooted tree format.
 
 Only the graph format is needed at import: the tree functions import the
-tree values (`trees`) when they run, so graph I/O loads just `graphs`, and
-a tree is read and printed without the graph algorithms of `cotree`.
+tree values (`trees`) and the tree reader when they run, so graph I/O
+loads just `graphs`, and a tree is read and printed without the graph
+algorithms of `cotree`.
 """
 
 from __future__ import annotations
@@ -49,15 +45,13 @@ from .errors import FormatError
 from .graphs import Graph, make_graph
 
 if TYPE_CHECKING:
-    from .trees import CotreeNode, PlainTree
+    from .trees import CotreeNode
 
 __all__ = [
     "parse_graph",
     "format_graph",
     "parse_cotree",
     "format_cotree",
-    "parse_plain_tree",
-    "format_plain_tree",
 ]
 
 _NAME_RE = re.compile(r"\S+")
@@ -184,29 +178,7 @@ def _pieces(g: Graph) -> Iterator[str]:
             yield names[i] + " " + sep.join(compress(span, selectors)) + "\n"
 
 
-_LEAF_RE = re.compile(r"[^\s()]+")
-_TOKEN_RE = re.compile(r"[()]|" + _LEAF_RE.pattern)
-
-
-def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
-    """Parentheses and whitespace-free names, each with its line and column."""
-    for line, row in enumerate(text.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(row):
-            yield m.group(), line, m.start() + 1
-
-
-def _end(tokens: Iterator[tuple[str, int, int]], stack: list, root):
-    """The root of a tree read whose loop stopped, at the root or at the end
-    of the tokens; or the fault: "missing ')'" at the innermost open "("
-    (each stack entry starts with its line and column), no token at all, or
-    a token after the root."""
-    if stack:
-        raise FormatError("missing ')'", line=stack[-1][0], col=stack[-1][1])
-    if root is None:
-        raise FormatError("unexpected end of input")
-    for tok, line, col in tokens:
-        raise FormatError(f"unexpected trailing token {tok!r}", line=line, col=col)
-    return root
+_LEAF_RE = re.compile(r"[^\s()]+")  # a leaf name of a tree file
 
 
 def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
@@ -217,6 +189,7 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     other than 0/1, pointing at the offending token.
     """
     from .trees import Inner, Leaf
+    from .treetext import _end, _label, _tokenize
 
     tokens = _tokenize(text)
     stack: list[tuple[int, int, list, int]] = []  # line, col of "(", children, label
@@ -251,28 +224,6 @@ def parse_cotree(text: str, strict: bool = True) -> CotreeNode:
     return _end(tokens, stack, root)
 
 
-def _label(token: tuple[str, int, int] | None, strict: bool, parent: int | None) -> int:
-    """The label of an internal node from the token after its "("."""
-    if token is None:
-        raise FormatError("unexpected end of input")
-    tok, line, col = token
-    if not tok.isdecimal():
-        raise FormatError(
-            f"internal node label must be an integer, got {tok!r}", line=line, col=col
-        )
-    try:
-        label = int(tok)
-    except ValueError:  # more digits than int() converts
-        raise FormatError(
-            f"internal node label is too long ({len(tok)} digits)", line=line, col=col
-        ) from None
-    if strict and label not in (0, 1):
-        raise FormatError(f"internal node label must be 0 or 1, got {label}", line=line, col=col)
-    if strict and label == parent:
-        raise FormatError(f"child label {label} equals parent label", line=line, col=col)
-    return label
-
-
 def format_cotree(t: CotreeNode) -> str:
     from .trees import _fold
 
@@ -282,30 +233,3 @@ def format_cotree(t: CotreeNode) -> str:
         return node.name
 
     return _fold(t, leaf, lambda node, kids: "(" + str(node.label) + " " + " ".join(kids) + ")")
-
-
-def parse_plain_tree(text: str) -> PlainTree:
-    """Parse a nested-parentheses rooted tree, e.g. "(()(()))"."""
-    from .trees import PlainTree
-
-    tokens = _tokenize(text)
-    stack: list[tuple[int, int, list]] = []  # line, col of "(", children
-    root = None
-    for tok, line, col in tokens:
-        if tok == "(":
-            stack.append((line, col, []))
-            continue
-        if tok != ")" or not stack:
-            raise FormatError(f"expected '(', got {tok!r}", line=line, col=col)
-        node = PlainTree(tuple(stack.pop()[2]))
-        if not stack:
-            root = node
-            break
-        stack[-1][2].append(node)
-    return _end(tokens, stack, root)
-
-
-def format_plain_tree(t: PlainTree) -> str:
-    from .trees import _fold
-
-    return _fold(t, None, lambda node, kids: "(" + "".join(kids) + ")")

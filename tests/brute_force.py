@@ -14,7 +14,8 @@ import itertools
 from functools import lru_cache
 
 from gfree import Graph, ModuleSet, PlainTree, TooLargeError, make_graph, plain_tree_code
-from gfree.cotree import _pair_guard, decompose
+from gfree.cotree import decompose
+from gfree.pairmodules import _pair_guard
 from gfree.trees import leaf_paths, meet_path
 
 

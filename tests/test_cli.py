@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,16 +22,9 @@ from gfree import (
     parse_graph,
     path_graph,
 )
-from gfree.cli import (
-    _BATCH,
-    _COMMANDS,
-    Report,
-    _build_parser,
-    _parse,
-    _split,
-    main,
-    run_command,
-)
+from gfree.arguments import _COMMANDS, _build_parser, _parse, _split
+from gfree.cli import _BATCH, main, run_command
+from gfree.commands import Report
 from test_cli_golden import CORPUS
 from test_cli_golden import _run as _run_golden
 
@@ -286,6 +280,29 @@ def test_decode_of_two_paths_for_one_hub_pair_is_exit_2(tmp_path: Path) -> None:
     assert (res.exit_code, json.loads(res.stdout)["message"]) == (2, message)
 
 
+def test_encode_past_its_size_limit_is_exit_2_before_building(tmp_path: Path) -> None:
+    # Under C5 the 150-vertex graph encodes to 389,305 vertices, whose rows
+    # alone would take about 9 GB; the request stops before building any.
+    rng = random.Random(1)
+    names = [f"v{i}" for i in range(150)]
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.05]
+    h = _write(tmp_path, "h.graph", format_graph(make_graph(names, edges)))
+    c5 = _write(tmp_path, "c5.graph", format_graph(cycle_graph(5)))
+    src = str(Path(gfree.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfree.cli", "encode", "--forbidden", c5, "--input", h],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    message = "error: encodings are limited to 100000 vertices, got 389305\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, message, "")
+    assert elapsed < 10, elapsed  # about 0.1 s; building would take minutes
+
+
 def test_decode_error_text_does_not_depend_on_hash_seed(tmp_path: Path) -> None:
     # K4 on A X Y Z with every edge subdivided is no encoding: the first
     # degree-2 chain from anchor A, walked in declared order, ends at X.
@@ -517,7 +534,7 @@ def test_a_prime_part_without_a_p4_is_exit_3_never_1(tmp_path: Path, monkeypatch
 
 
 def test_pair_modules_missing_the_root_is_exit_3(tmp_path: Path, monkeypatch) -> None:
-    monkeypatch.setattr("gfree.cotree._strong_mask", lambda mods, j: 0)
+    monkeypatch.setattr("gfree.pairmodules._strong_mask", lambda mods, j: 0)
     res = run_command(["interpret-tree", _write(tmp_path, "p3.graph", P3_TEXT)])
     assert (res.exit_code, res.stdout) == (
         3,

@@ -10,6 +10,11 @@ failed round trip) are forced by a named patch.
 
 Re-record the expected outputs after an intended change with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
+
+cli_help.json pins the help and usage text that argparse prints for four
+requests, with the exit code and both streams, at COLUMNS=80.  Other tests
+compare the plain-request reader with the parser built from the same
+table, which cannot show a change to the text itself.
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ import pytest
 
 import gfree
 from gfree import NoZ3Report, cycle_graph
-from gfree.cli import _build_parser, run_command
+from gfree.arguments import _build_parser
+from gfree.cli import run_command
 
 DATA = Path(__file__).with_name("cli_golden.json")
 CORPUS = json.loads(DATA.read_text(encoding="utf-8"))
+HELP = json.loads(Path(__file__).with_name("cli_help.json").read_text(encoding="utf-8"))
 
 PATCHES = {
     "no-z3 offenders": (
@@ -151,6 +158,21 @@ def test_a_printed_graph_is_never_formatted_as_a_whole(tmp_path: Path, monkeypat
         case = next(c for c in CORPUS["cases"] if c["argv"] == argv)
         res = _run(case, tmp_path)
         assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"]), argv
+
+
+@pytest.mark.parametrize("case", HELP["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_help_and_usage_text_is_pinned(case: dict) -> None:
+    # argparse wraps its text to the width that COLUMNS gives
+    src = str(Path(gfree.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfree.cli", *case["argv"]],
+        env={**os.environ, "COLUMNS": str(HELP["columns"]), "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    got = (proc.returncode, proc.stdout, proc.stderr)
+    assert got == (case["exit_code"], case["stdout"], case["stderr"])
 
 
 def test_corpus_covers_every_subcommand_in_both_modes() -> None:

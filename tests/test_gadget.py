@@ -8,6 +8,7 @@ from brute_force import graph_classes
 
 from gfree import (
     ForbiddenInsideP4Error,
+    TooLargeError,
     GadgetParams,
     MalformedEncodingError,
     NotIsomorphismError,
@@ -108,6 +109,33 @@ def test_gadget_params_rejects_p4_subgraphs() -> None:
 def test_encode_k2_vertex_count() -> None:
     enc = encode_phi(K2, gadget_params(C3))
     assert enc.graph.n == 24
+
+
+@pytest.mark.parametrize("forbidden", [C3, cycle_graph(5), path_graph(5), K3_PLUS_K1])
+def test_encode_checks_the_size_it_builds_against_its_limit(forbidden, monkeypatch) -> None:
+    # encode_phi raises past _MAX_ENCODED from its closed form, so a limit
+    # of exactly the built size passes and one vertex fewer raises.
+    from gfree import gadget
+
+    params = gadget_params(forbidden)
+    built = [(h, encode_phi(h, params).graph.n) for n in range(1, 5) for h in graph_classes(n)]
+    for h, size in built:
+        monkeypatch.setattr(gadget, "_MAX_ENCODED", size)
+        encode_phi(h, params)
+        monkeypatch.setattr(gadget, "_MAX_ENCODED", size - 1)
+        with pytest.raises(TooLargeError, match=f"limited to {size - 1} vertices, got {size}$"):
+            encode_phi(h, params)
+
+
+def test_encode_past_its_limit_raises_before_building(monkeypatch) -> None:
+    def refuse(names, edges):
+        raise AssertionError("make_graph ran")
+
+    monkeypatch.setattr("gfree.gadget.make_graph", refuse)
+    # 150 hub cycles of 8, and 150 * 149 / 2 = 11175 paths of 5 marker cycles of 7
+    h = make_graph([f"v{i}" for i in range(150)], [])
+    with pytest.raises(TooLargeError, match="limited to 100000 vertices, got 392325$"):
+        encode_phi(h, gadget_params(cycle_graph(5)))
 
 
 def test_encode_k1_is_single_hub_cycle() -> None:

@@ -491,7 +491,7 @@ def test_rows_of_extension_candidates() -> None:
     on every mask equals is_free on that graph, and every kept graph has
     exactly its rows: those of the kept graph it was built from, which
     drops its last row and bit, plus its last row as the mask."""
-    from gfree.typeslogic import _extension_tree, _free_masks, _pieces
+    from gfree.extensions import _extension_tree, _free_masks, _pieces
 
     rng = random.Random(20261024)
     blocked = 0

@@ -29,7 +29,7 @@ from gfree import (
     relabel,
     type_fragment,
 )
-from gfree.typeslogic import _fixes_base, _signature_table, _signatures
+from gfree.extensions import _fixes_base, _signature_table, _signatures
 
 P3 = path_graph(3)
 C3 = cycle_graph(3)
@@ -485,7 +485,7 @@ def test_type_fragment_calls_public_eval_once_per_evaluated_extension(monkeypatc
     the benchmark's tracer wraps by name: once on each graph of the pruned
     enumeration, which expands only the graphs whose formula holds."""
     from gfree import typeslogic
-    from gfree.typeslogic import _extension_tree
+    from gfree.extensions import _extension_tree
 
     target = ConstantedGraph(make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), ("a",))
     base = ConstantedGraph(induced_subgraph(target.graph, ("a",)), ("a",))
@@ -513,7 +513,7 @@ def test_type_fragment_expands_only_extensions_whose_formula_holds(monkeypatch) 
     """Every parent whose one-vertex extensions are listed has a formula
     that holds in the target, and each holding formula with fewer than k
     bound variables is expanded once, in order."""
-    from gfree import typeslogic
+    from gfree import extensions
 
     parents: list[Graph] = []
 
@@ -521,8 +521,8 @@ def test_type_fragment_expands_only_extensions_whose_formula_holds(monkeypatch) 
         parents.append(g)
         return free_masks(g, pieces)
 
-    free_masks = typeslogic._free_masks
-    monkeypatch.setattr(typeslogic, "_free_masks", recording)
+    free_masks = extensions._free_masks
+    monkeypatch.setattr(extensions, "_free_masks", recording)
     rng = random.Random(5)
     for target, f, k in [
         (ConstantedGraph(P3, ("g0", "g1")), C3, 2),

@@ -13,8 +13,10 @@ in one token (`--flag=value`, `-kVALUE`), a form that only the argparse
 fallback of the CLI reads.  A request that reads a cotree (.cotree) or
 plain-tree (.tree) file runs once more, as text, on a copy of each such
 file cut at half its length, which replays the tree readers' faults on
-real deck files.  It compares the exit code, the stdout and
-stderr bytes and the file that a --sidecar option names.  On the first
+real deck files.  It also runs `--help` and `<cmd> --help` for every
+subcommand that the parent's `--help` lists, which print argparse's text.
+It compares the exit code, the stdout and stderr bytes and the file that a
+--sidecar option names.  On the first
 mismatch it prints the request and what differs and exits 1; otherwise it
 prints how many runs agreed and exits 0.  It uses the standard library only
 and changes nothing under perfbench/.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -88,6 +91,18 @@ def _run(src: Path, argv: list[str], sidecar: Path) -> Result:
     return proc.returncode, proc.stdout, proc.stderr, side
 
 
+def _subcommands(src: Path) -> list[str]:
+    """The subcommands that `gfree --help` lists under src, in order."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfree.cli", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return re.search(r"\{(.*?)\}", proc.stdout).group(1).split(",")
+
+
 def _difference(parent: Result, change: Result) -> str | None:
     if parent[0] != change[0]:
         return f"exit code {parent[0]} (parent) vs {change[0]} (change)"
@@ -127,6 +142,8 @@ def main() -> int:
                 for i, request in enumerate(deck.requests):
                     label = f"{name} seed {seed} request {i}"
                     runs.extend((label, argv) for argv in _modes(request.argv))
+        helps = [["--help"]] + [[name, "--help"] for name in _subcommands(srcs[0])]
+        runs.extend(("help", argv) for argv in helps)
 
         def compare(numbered: tuple[int, tuple[str, list[str]]]) -> str | None:
             n, (label, argv) = numbered
@@ -143,7 +160,7 @@ def main() -> int:
                     return 1
     print(
         f"{len(runs)} requests agree: decks {DECKS}, seeds {SEEDS}, text, --json, joined"
-        " and on cut tree files"
+        f" and on cut tree files, and {len(helps)} help requests"
     )
     return 0
 
